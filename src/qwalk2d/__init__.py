@@ -11,12 +11,9 @@ from .analysis import (
     LocalizationFit,
     ScalingFit,
     axis_cuts,
-    distribution,
     fit_localization,
     fit_scaling_exponent,
     mean_position,
-    variance,
-    variance_of_grid,
     variance_series,
 )
 from .disorder import (
@@ -98,7 +95,6 @@ __all__ = [
     "cross_site_coherence_factor",
     "density_from_state",
     "derive_trajectory_seed",
-    "distribution",
     "exact_run",
     "exact_step_density",
     "fit_localization",
@@ -112,7 +108,5 @@ __all__ = [
     "same_site_coherence_factor",
     "step",
     "trajectory_rng",
-    "variance",
-    "variance_of_grid",
     "variance_series",
 ]

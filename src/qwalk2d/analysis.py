@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError
-from .state import WalkState
 
 # below this, the total spread of a log series counts as exactly flat
 _FLAT_EPS = 1e-30
@@ -72,24 +71,9 @@ def site_coordinates(half_width: int) -> np.ndarray:
     return np.arange(-half_width, half_width + 1)
 
 
-def distribution(state: WalkState) -> Distribution2D:
-    """Trace out the coin: p(i, j) = |aH(i, j)|^2 + |aV(i, j)|^2."""
-    probs = np.abs(state.amps[..., 0]) ** 2 + np.abs(state.amps[..., 1]) ** 2
-    return Distribution2D(probs, state.half_width, state.step_count)
-
-
-def variance_of_grid(probs: np.ndarray, half_width: int) -> float:
-    """Variance sum_ij p(i,j) |r_ij - mu|^2 with r_ij = (i, j)."""
-    r = site_coordinates(half_width).astype(float)
-    px = probs.sum(axis=1)
-    py = probs.sum(axis=0)
-    mu_x = px @ r
-    mu_y = py @ r
-    return float(px @ (r - mu_x) ** 2 + py @ (r - mu_y) ** 2)
-
-
 def variance_series(prob_stack: np.ndarray, half_width: int) -> np.ndarray:
-    """variance_of_grid applied to a stack of grids, shape (n_steps, L, L)."""
+    """Variance sum_ij p(i,j) |r_ij - mu|^2, r_ij = (i, j), of each grid in a
+    stack of shape (n_steps, L, L)."""
     r = site_coordinates(half_width).astype(float)
     px = prob_stack.sum(axis=2)
     py = prob_stack.sum(axis=1)
@@ -98,10 +82,6 @@ def variance_series(prob_stack: np.ndarray, half_width: int) -> np.ndarray:
     vx = px @ (r ** 2) - mu_x ** 2
     vy = py @ (r ** 2) - mu_y ** 2
     return vx + vy
-
-
-def variance(dist: Distribution2D) -> float:
-    return variance_of_grid(dist.probs, dist.half_width)
 
 
 def mean_position(dist: Distribution2D) -> tuple[float, float]:

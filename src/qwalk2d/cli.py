@@ -39,7 +39,6 @@ from .io import (
     manifest_from_pairs,
     parse_manifest_text,
     read_distribution_csv,
-    read_manifest,
     render_heatmap_svg,
     write_distribution_csv,
     write_manifest,
@@ -100,15 +99,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_pairs(args) -> dict[str, str]:
+    """Config keys set on the command line; flags a subcommand lacks are skipped."""
+    pairs: dict[str, str] = {}
+    for flag, key, _help in _OVERRIDE_FLAGS:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value is not None:
+            pairs[key] = value
+    return pairs
+
+
 def _resolve_manifest(args, force_engine: str | None) -> RunManifest:
     pairs: dict[str, str] = {}
     if args.config:
         pairs.update(parse_manifest_text(Path(args.config).read_text()))
-    for flag, key, _help in _OVERRIDE_FLAGS:
-        attr = flag.lstrip("-").replace("-", "_").replace(".", "_")
-        value = getattr(args, attr, None)
-        if value is not None:
-            pairs[key] = value
+    pairs.update(_flag_pairs(args))
     if force_engine is not None:
         pairs["engine"] = force_engine
     return manifest_from_pairs(pairs)
@@ -174,17 +179,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_fit(args) -> int:
     dists = read_distribution_csv(args.distributions)
+    pairs: dict[str, str] = {}
+    config = None
     if args.manifest:
-        manifest = read_manifest(args.manifest)
-        config = manifest.disorder_config()
-    else:
-        manifest = RunManifest()
-        config = None
-    manifest.steps = len(dists) - 1
-    for flag in ("fit_n_lo", "fit_n_hi", "fit_d_lo", "fit_d_hi"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(manifest, flag, int(value))
+        pairs = parse_manifest_text(Path(args.manifest).read_text())
+        config = manifest_from_pairs(pairs).disorder_config()
+    # the fit windows default from the stored steps, not the manifest's
+    manifest = manifest_from_pairs({**pairs, "steps": str(len(dists) - 1),
+                                    **_flag_pairs(args)})
 
     stack = np.stack([d.probs for d in dists])
     variances = variance_series(stack, dists[0].half_width)

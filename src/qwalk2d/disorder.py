@@ -9,6 +9,7 @@ or in parallel without changing the result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +51,10 @@ class DisorderConfig:
     def __post_init__(self):
         if not isinstance(self.mode, DisorderMode):
             object.__setattr__(self, "mode", DisorderMode(self.mode))
+        for name in ("steps", "realizations", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not (0.0 <= self.zeta <= math.pi):
             raise ConfigError(f"zeta must lie in [0, pi], got {self.zeta!r}")
         if self.steps < 1:

@@ -17,14 +17,12 @@ import numpy as np
 
 from .analysis import Distribution2D, variance_series
 from .disorder import DisorderConfig
-from .errors import ConfigError, InvariantViolationError, TrajectoryFailure
+from .errors import ConfigError, TrajectoryFailure, check_unit_total
 from .evolve import run_trajectory
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
 CHUNK_SIZE = 32
-
-_DIST_SUM_TOL = 1e-9
 
 
 @dataclass
@@ -122,12 +120,8 @@ def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
               mean_probs: np.ndarray, per_traj_var: np.ndarray) -> EnsembleResult:
     half_width = config.steps
     count = per_traj_var.shape[0]
-    sums = mean_probs.sum(axis=(1, 2))
-    worst = float(np.abs(sums - 1.0).max())
-    if worst > _DIST_SUM_TOL:
-        raise InvariantViolationError(
-            f"averaged distribution sums deviate from 1 by {worst:.3e}"
-        )
+    for n, total in enumerate(mean_probs.sum(axis=(1, 2))):
+        check_unit_total(total, f"averaged distribution sum at step {n}")
     variances = variance_series(mean_probs, half_width)
     if count > 1:
         stderr = per_traj_var.std(axis=0, ddof=1) / np.sqrt(count)

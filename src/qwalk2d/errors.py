@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one unit-total check."""
+
+# largest deviation from 1 tolerated in a norm, trace or distribution total
+UNIT_TOL = 1e-9
 
 
 class QwalkError(Exception):
@@ -31,3 +34,13 @@ class InvariantViolationError(QwalkError, RuntimeError):
 
 class TrajectoryFailure(QwalkError, RuntimeError):
     """A trajectory inside an ensemble raised; the index is in the message."""
+
+
+def check_unit_total(total, what: str) -> None:
+    """Raise InvariantViolationError unless total lies within UNIT_TOL of 1.
+
+    The test is `not abs(total - 1) <= UNIT_TOL`, so NaN and +-inf fail as
+    well as drift.  what names the total and where it was taken.
+    """
+    if not abs(total - 1.0) <= UNIT_TOL:
+        raise InvariantViolationError(f"{what} is {float(total)!r}, not 1 within {UNIT_TOL:g}")

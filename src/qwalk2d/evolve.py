@@ -17,9 +17,9 @@ from .analysis import variance_series
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
 from .errors import (
     ConfigError,
-    InvariantViolationError,
     LatticeOverflowError,
     UnsupportedModeError,
+    check_unit_total,
 )
 from .state import (
     WalkState,
@@ -31,9 +31,6 @@ from .state import (
 )
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-# a run aborts when the state norm drifts further than this from 1
-NORM_DRIFT_LIMIT = 1e-9
 
 # dense density matrices grow as (2 * (2n+1)^2)^2; past this the oracle is
 # no longer a sensible tool
@@ -56,41 +53,32 @@ class TrajectoryResult:
     """Per-step site probabilities of one realization.
 
     probabilities[n] is the (L, L) grid after n steps, n = 0..steps.
-    states is populated only when the run was asked to keep full states.
     """
 
     probabilities: np.ndarray
     half_width: int
     trajectory_index: int
-    states: list[WalkState] | None = None
 
 
-def run_trajectory(config: DisorderConfig, trajectory_index: int,
-                   keep_states: bool = False) -> TrajectoryResult:
+def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
     """Run one realization for config.steps steps.
 
     The grid half width equals config.steps, so the support can never reach
-    the boundary.  Aborts with InvariantViolationError if the norm drifts
-    by more than NORM_DRIFT_LIMIT.
+    the boundary.  Raises InvariantViolationError, naming the trajectory and
+    the step, as soon as a step's total probability is not 1 (see
+    check_unit_total).
     """
     n_steps = config.steps
     sampler = PhaseSampler(config, trajectory_index)
     state = initial_state(n_steps)
     size = state.grid_size
     probs = np.empty((n_steps + 1, size, size), dtype=float)
-    probs[0] = np.abs(state.amps[..., 0]) ** 2 + np.abs(state.amps[..., 1]) ** 2
-    states = [state] if keep_states else None
+    probs[0] = state.probabilities()
     for n in range(1, n_steps + 1):
         state = step(state, sampler.phases_for_step(n, state.half_width))
-        drift = abs(state.norm() - 1.0)
-        if drift > NORM_DRIFT_LIMIT:
-            raise InvariantViolationError(
-                f"norm drifted by {drift:.3e} at step {n} of trajectory {trajectory_index}"
-            )
-        probs[n] = np.abs(state.amps[..., 0]) ** 2 + np.abs(state.amps[..., 1]) ** 2
-        if keep_states:
-            states.append(state)
-    return TrajectoryResult(probs, n_steps, trajectory_index, states)
+        probs[n] = state.probabilities()
+        check_unit_total(probs[n].sum(), f"trajectory {trajectory_index}: norm at step {n}")
+    return TrajectoryResult(probs, n_steps, trajectory_index)
 
 
 # ---------------------------------------------------------------------------
@@ -171,49 +159,41 @@ def _apply_shift_tensor(t: np.ndarray, site_axis: int, coin_axis: int) -> np.nda
     return np.moveaxis(out, (0, 1), (site_axis, coin_axis))
 
 
-def _damping_tensor(mode: DisorderMode, zeta: float, size: int) -> np.ndarray | None:
-    """Elementwise damping D for rho indexed (i, j, s, i', j', s').
+def _coin_block(config: DisorderConfig) -> np.ndarray | None:
+    """Phase-averaged damping of one site's own 2x2 coin block; None if undamped.
 
     Derived by averaging the dephasing unitary pair over the uniform phase
     law; each closed form is pinned against numerical quadrature in the
-    test suite before the oracle is trusted.
+    test suite before the oracle is trusted.  Static spatial disorder has no
+    such per-step average (the ensemble is correlated in time) and is
+    rejected.
     """
-    if mode is DisorderMode.NONE or zeta == 0.0:
+    if config.mode is DisorderMode.NONE or config.zeta == 0.0:
         return None
-    same_coin = same_site_coherence_factor(zeta)
-    coin_block = np.array([[1.0, same_coin], [same_coin, 1.0]])
-    if mode is DisorderMode.DYNAMICAL_UNIFORM:
-        return coin_block.reshape(1, 1, 2, 1, 1, 2)
-    if mode is DisorderMode.DYNAMICAL_SPATIAL:
-        cross = cross_site_coherence_factor(zeta)
-        eye = np.eye(size)
-        same_site = eye[:, None, :, None] * eye[None, :, None, :]
-        d = np.full((size, size, 2, size, size, 2), cross)
-        d += same_site[:, :, None, :, :, None] * (coin_block.reshape(1, 1, 2, 1, 1, 2) - cross)
-        return d
-    raise UnsupportedModeError(
-        f"no step-factorizing phase average exists for mode {mode}; "
-        "the exact channel supports none, dynamical-spatial and dynamical-uniform"
-    )
+    if config.mode is DisorderMode.STATIC_SPATIAL:
+        raise UnsupportedModeError(
+            f"no step-factorizing phase average exists for mode {config.mode}; "
+            "the exact channel supports none, dynamical-spatial and dynamical-uniform"
+        )
+    same_coin = same_site_coherence_factor(config.zeta)
+    return np.array([[1.0, same_coin], [same_coin, 1.0]])
 
 
 def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityState:
     """One step of the phase-averaged channel on a density matrix.
 
     Applies the deterministic unitaries by conjugation, then damps each
-    matrix element by the average of its dephasing factor.  Static spatial
-    disorder has no such per-step average (the ensemble is correlated in
-    time) and is rejected.
+    matrix element by the average of its dephasing factor.  Uniform
+    dephasing damps every site's coin block alike.  Spatial dephasing draws
+    independent phases on distinct sites, so every coherence between two
+    sites is damped by cross_site_coherence_factor, while a site's own 2x2
+    block sees a single phase and takes the coin block instead.
     """
     if dstate.step_count + 1 > dstate.half_width:
         raise LatticeOverflowError(
             f"oracle lattice bound {dstate.half_width} cannot hold step {dstate.step_count + 1}"
         )
-    damping = _damping_tensor(config.mode, config.zeta, dstate.grid_size)
-    return _exact_step_with_damping(dstate, damping)
-
-
-def _exact_step_with_damping(dstate: DensityState, damping: np.ndarray | None) -> DensityState:
+    block = _coin_block(config)
     size = dstate.grid_size
     t = dstate.rho.reshape(size, size, 2, size, size, 2)
     # U rho U^dagger with U = S_Y H S_X H: forward ops on the ket axes,
@@ -223,8 +203,14 @@ def _exact_step_with_damping(dstate: DensityState, damping: np.ndarray | None) -
         t = _apply_shift_tensor(t, site_axis, coin_axis)
         t = _apply_coin_tensor(t, coin_axis)
         t = _apply_shift_tensor(t, site_axis + 1, coin_axis)
-    if damping is not None:
-        t = t * damping
+    if block is not None and config.mode is DisorderMode.DYNAMICAL_UNIFORM:
+        t = t * block.reshape(1, 1, 2, 1, 1, 2)
+    elif block is not None:
+        sites = np.arange(size)
+        ii, jj = sites[:, None], sites[None, :]
+        own = t[ii, jj, :, ii, jj, :]
+        t = t * cross_site_coherence_factor(config.zeta)
+        t[ii, jj, :, ii, jj, :] = own * block
     dim = 2 * size * size
     return DensityState(t.reshape(dim, dim), dstate.half_width, dstate.step_count + 1)
 
@@ -251,16 +237,13 @@ def exact_run(config: DisorderConfig, n_max: int | None = None) -> ExactRunResul
             f"exact oracle is limited to {MAX_ORACLE_STEPS} steps "
             f"(dense density matrix), got {n_steps}"
         )
-    # reject unsupported modes before doing any work
-    damping = _damping_tensor(config.mode, config.zeta, 2 * n_steps + 1)
+    _coin_block(config)  # rejects unsupported modes before doing any work
     dstate = initial_density(n_steps)
     size = dstate.grid_size
     probs = np.empty((n_steps + 1, size, size), dtype=float)
     probs[0] = dstate.site_probabilities()
     for n in range(1, n_steps + 1):
-        dstate = _exact_step_with_damping(dstate, damping)
-        drift = abs(dstate.trace() - 1.0)
-        if drift > NORM_DRIFT_LIMIT:
-            raise InvariantViolationError(f"trace drifted by {drift:.3e} at oracle step {n}")
+        dstate = exact_step_density(dstate, config)
         probs[n] = dstate.site_probabilities()
+        check_unit_total(probs[n].sum(), f"oracle trace at step {n}")
     return ExactRunResult(config, probs, variance_series(probs, n_steps), n_steps)

@@ -19,12 +19,10 @@ import numpy as np
 
 from .analysis import Distribution2D, LocalizationFit, ScalingFit
 from .disorder import DisorderConfig, DisorderMode
-from .errors import ConfigError, InvariantViolationError
+from .errors import ConfigError, InvariantViolationError, check_unit_total
 
 MANIFEST_SCHEMA_VERSION = 1
 RESULT_SCHEMA_VERSION = 1
-
-_DIST_SUM_TOL = 1e-9
 
 _ZETA_RE = re.compile(r"^([0-9]*\.?[0-9]+)?\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
 
@@ -162,16 +160,12 @@ def write_manifest(manifest: RunManifest, path) -> None:
 def write_distribution_csv(dists, path) -> None:
     """Write site distributions as rows `step,i,j,p`, omitting zero sites.
 
-    Every distribution must sum to 1 within 1e-9; an empty (all-zero)
-    distribution is rejected outright.
+    Every distribution must sum to 1 (see check_unit_total), so an empty
+    (all-zero) distribution is rejected outright.
     """
     lines = ["step,i,j,p"]
     for dist in dists:
-        total = float(dist.probs.sum())
-        if abs(total - 1.0) > _DIST_SUM_TOL:
-            raise InvariantViolationError(
-                f"distribution at step {dist.step} sums to {total!r}, not 1"
-            )
+        check_unit_total(dist.probs.sum(), f"distribution sum at step {dist.step}")
         h = dist.half_width
         ii, jj = np.nonzero(dist.probs > 0.0)
         for u, v in zip(ii.tolist(), jj.tolist()):
@@ -186,9 +180,15 @@ def read_distribution_csv(path) -> list[Distribution2D]:
         reader = csv.DictReader(handle)
         if reader.fieldnames != ["step", "i", "j", "p"]:
             raise ConfigError(f"{path}: expected header step,i,j,p, got {reader.fieldnames}")
-        for record in reader:
-            rows.append((int(record["step"]), int(record["i"]), int(record["j"]),
-                         float(record["p"])))
+        try:
+            for record in reader:
+                rows.append((int(record["step"]), int(record["i"]), int(record["j"]),
+                             float(record["p"])))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{path}: line {reader.line_num}: expected integers step,i,j "
+                f"and a float p, got {list(record.values())}"
+            ) from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     steps = sorted({r[0] for r in rows})
@@ -202,9 +202,7 @@ def read_distribution_csv(path) -> list[Distribution2D]:
         grids[step, i + half_width, j + half_width] = p
     dists = []
     for step in steps:
-        total = float(grids[step].sum())
-        if abs(total - 1.0) > _DIST_SUM_TOL:
-            raise InvariantViolationError(f"{path}: step {step} sums to {total!r}, not 1")
+        check_unit_total(grids[step].sum(), f"{path}: distribution sum at step {step}")
         dists.append(Distribution2D(grids[step], half_width, step))
     return dists
 

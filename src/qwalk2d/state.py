@@ -48,9 +48,14 @@ class WalkState:
         return (complex(self.amps[i + h, j + h, COIN_H]),
                 complex(self.amps[i + h, j + h, COIN_V]))
 
+    def probabilities(self) -> np.ndarray:
+        """(L, L) grid of site probabilities p(i, j) = |aH|^2 + |aV|^2."""
+        a = self.amps
+        return np.abs(a[..., 0]) ** 2 + np.abs(a[..., 1]) ** 2
+
     def norm(self) -> float:
-        """Total probability, sum over sites of |aH|^2 + |aV|^2."""
-        return float(np.vdot(self.amps, self.amps).real)
+        """Total probability, the sum of the site probabilities."""
+        return float(self.probabilities().sum())
 
 
 def initial_state(half_width: int) -> WalkState:

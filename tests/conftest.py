@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qwalk2d import PhaseSampler, initial_state, step
+
 
 def assert_support_ok(prob_grid, half_width, n):
     """Occupied sites after n steps must satisfy |i|,|j| <= n and i = j = n (mod 2)."""
@@ -12,6 +14,16 @@ def assert_support_ok(prob_grid, half_width, n):
     assert np.all(np.abs(j) <= n), f"step {n}: support escapes |j| <= {n}"
     assert np.all((i - n) % 2 == 0), f"step {n}: x parity violated"
     assert np.all((j - n) % 2 == 0), f"step {n}: y parity violated"
+
+
+def walk_states(config, trajectory_index=0):
+    """States after 0..config.steps steps of one trajectory, rebuilt from
+    PhaseSampler and step as run_trajectory evolves them."""
+    sampler = PhaseSampler(config, trajectory_index)
+    states = [initial_state(config.steps)]
+    for n in range(1, config.steps + 1):
+        states.append(step(states[-1], sampler.phases_for_step(n, config.steps)))
+    return states
 
 
 @pytest.fixture

@@ -25,8 +25,9 @@ from qwalk2d import (
     run_trajectory,
     same_site_coherence_factor,
     step,
+    variance_series,
 )
-from conftest import assert_support_ok
+from conftest import assert_support_ok, walk_states
 
 MASTER_SEED = 424242
 THREADS = 2
@@ -123,9 +124,7 @@ def test_criterion_1_golden_first_step():
         occupied = probs[probs > 0]
         assert occupied.size == 4
         assert np.abs(occupied - 0.25).max() <= 1e-12
-        from qwalk2d import distribution, variance
-
-        assert abs(variance(distribution(state)) - 2.0) <= 1e-12
+        assert abs(variance_series(probs[np.newaxis], 1)[0] - 2.0) <= 1e-12
 
 
 def test_criterion_2_ballistic_regime(ballistic):
@@ -197,9 +196,10 @@ def test_criterion_8a_norm_drift_over_50_steps():
     with criterion("8a", "norm drift over 50 steps"):
         cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, math.pi, steps=50,
                              realizations=1, master_seed=MASTER_SEED)
-        traj = run_trajectory(cfg, 0, keep_states=True)
-        for n, state in enumerate(traj.states):
+        traj = run_trajectory(cfg, 0)
+        for n, state in enumerate(walk_states(cfg)):
             assert abs(state.norm() - 1.0) <= 1e-12, f"drift at step {n}"
+            assert np.array_equal(state.probabilities(), traj.probabilities[n])
 
 
 def test_criterion_8b_distributions_normalized(all_ensembles):

@@ -9,19 +9,20 @@ from qwalk2d import (
     DisorderMode,
     Distribution2D,
     PhaseMatrix,
+    PhaseSampler,
+    WalkState,
     apply_dephasing,
     axis_cuts,
-    distribution,
     fit_localization,
     fit_scaling_exponent,
     initial_state,
     mean_position,
     run_trajectory,
     step,
-    variance,
-    variance_of_grid,
     variance_series,
 )
+from conftest import walk_states
+from reference import ref_variance
 
 
 def grid_dist(entries, half_width, step_index=0):
@@ -32,72 +33,69 @@ def grid_dist(entries, half_width, step_index=0):
     return Distribution2D(probs, half_width, step_index)
 
 
+def grid_variance(probs, half_width):
+    return variance_series(probs[np.newaxis], half_width)[0]
+
+
 FIRST_STEP = {(-1, -1): 0.25, (-1, 1): 0.25, (1, -1): 0.25, (1, 1): 0.25}
 
 
 class TestDistribution:
     def test_initial_state_is_delta(self):
-        d = distribution(initial_state(2))
-        assert d.prob(0, 0) == pytest.approx(1.0, abs=1e-12)
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        probs = initial_state(2).probabilities()
+        assert probs[2, 2] == pytest.approx(1.0, abs=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_first_step_distribution(self):
         cfg = DisorderConfig(DisorderMode.NONE, 0.0, steps=1, realizations=1, master_seed=0)
-        d = distribution_from_first_step(cfg)
-        for site, p in FIRST_STEP.items():
-            assert d.prob(*site) == pytest.approx(p, abs=1e-12)
+        state = step(initial_state(1), PhaseSampler(cfg, 0).phases_for_step(1, 1))
+        probs = state.probabilities()
+        for (i, j), p in FIRST_STEP.items():
+            assert probs[i + 1, j + 1] == pytest.approx(p, abs=1e-12)
 
     def test_normalization_for_random_states(self, rng):
         amps = rng.normal(size=(9, 9, 2)) + 1j * rng.normal(size=(9, 9, 2))
         amps /= np.sqrt(np.vdot(amps, amps).real)
-        from qwalk2d import WalkState
-
-        d = distribution(WalkState(amps.astype(np.complex128), 4))
-        assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def distribution_from_first_step(cfg):
-    from qwalk2d import PhaseSampler
-
-    state = initial_state(1)
-    return distribution(step(state, PhaseSampler(cfg, 0).phases_for_step(1, 1)))
+        probs = WalkState(amps.astype(np.complex128), 4).probabilities()
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestVariance:
     def test_delta_is_zero(self):
-        assert variance(grid_dist({(0, 0): 1.0}, 2)) == 0.0
+        assert grid_variance(grid_dist({(0, 0): 1.0}, 2).probs, 2) == 0.0
 
     def test_first_step_square(self):
         d = grid_dist(FIRST_STEP, 2)
         assert mean_position(d) == (0.0, 0.0)
-        assert variance(d) == pytest.approx(2.0, abs=1e-12)
+        assert grid_variance(d.probs, 2) == pytest.approx(2.0, abs=1e-12)
 
     def test_unit_cross(self):
         d = grid_dist({(1, 0): 0.25, (-1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25}, 2)
-        assert variance(d) == pytest.approx(1.0, abs=1e-12)
+        assert grid_variance(d.probs, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_offset_mean_is_subtracted(self):
         d = grid_dist({(2, 1): 1.0}, 3)
-        assert variance(d) == pytest.approx(0.0, abs=1e-12)
+        assert grid_variance(d.probs, 3) == pytest.approx(0.0, abs=1e-12)
         assert mean_position(d) == (2.0, 1.0)
 
     def test_series_matches_scalar_version(self, rng):
+        # against the centered formula of the independent reference walker
         stack = rng.uniform(size=(4, 7, 7))
         stack /= stack.sum(axis=(1, 2), keepdims=True)
         series = variance_series(stack, 3)
         for n in range(4):
-            assert series[n] == pytest.approx(variance_of_grid(stack[n], 3), abs=1e-12)
+            sites = {(u - 3, v - 3): float(stack[n, u, v]) for u in range(7) for v in range(7)}
+            assert series[n] == pytest.approx(ref_variance(sites), abs=1e-12)
 
     def test_invariant_under_dephasing(self, rng):
         cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, math.pi, steps=6,
                              realizations=1, master_seed=12)
-        traj = run_trajectory(cfg, 0, keep_states=True)
-        state = traj.states[6]
+        state = walk_states(cfg)[6]
         size = state.grid_size
         phases = PhaseMatrix(rng.uniform(-math.pi, math.pi, (size, size)),
                              state.half_width, step=7)
-        before = variance(distribution(state))
-        after = variance(distribution(apply_dephasing(state, phases)))
+        before = grid_variance(state.probabilities(), 6)
+        after = grid_variance(apply_dephasing(state, phases).probabilities(), 6)
         assert after == pytest.approx(before, abs=1e-12)
 
 

@@ -38,6 +38,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(DisorderMode.NONE, 0.0, realizations=0)
 
+    @pytest.mark.parametrize("field", ["steps", "realizations", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_non_integer_counts_rejected(self, field, value):
+        kwargs = {"steps": 10, "realizations": 4, "master_seed": 0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, math.pi, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = DisorderConfig(DisorderMode.NONE, 0.0, steps=np.int64(3),
+                             realizations=np.int32(2), master_seed=np.uint64(7))
+        assert cfg.steps == 3
+
     def test_seed_range_enforced(self):
         with pytest.raises(ConfigError):
             config(DisorderMode.NONE, 0.0, seed=-1)

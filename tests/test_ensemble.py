@@ -7,6 +7,7 @@ from qwalk2d import (
     ConfigError,
     DisorderConfig,
     DisorderMode,
+    InvariantViolationError,
     TrajectoryFailure,
     exact_run,
     merge_results,
@@ -78,6 +79,17 @@ class TestRunEnsemble:
         monkeypatch.setattr(ens_mod, "run_trajectory", boom)
         with pytest.raises(TrajectoryFailure, match="trajectory 3"):
             run_ensemble(config(realizations=8))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_average_rejected(self, bad):
+        from qwalk2d.ensemble import _finalize
+
+        cfg = config(steps=2, realizations=1)
+        mean = np.zeros((3, 5, 5))
+        mean[:, 2, 2] = 1.0
+        mean[1, 2, 2] = bad
+        with pytest.raises(InvariantViolationError, match="step 1"):
+            _finalize(cfg, [(0, 1)], mean, np.zeros((1, 3)))
 
 
 class TestParallelDeterminism:

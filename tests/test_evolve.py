@@ -6,8 +6,11 @@ from scipy.integrate import quad
 
 from qwalk2d import (
     DisorderConfig,
+    DensityState,
     DisorderMode,
+    InvariantViolationError,
     LatticeOverflowError,
+    PhaseMatrix,
     PhaseSampler,
     UnsupportedModeError,
     basis_index,
@@ -23,7 +26,7 @@ from qwalk2d import (
     step,
     variance_series,
 )
-from conftest import assert_support_ok
+from conftest import assert_support_ok, walk_states
 from reference import ref_probs, ref_run, ref_step, ref_variance
 
 R8 = 1.0 / math.sqrt(8.0)
@@ -74,10 +77,10 @@ class TestGoldenFirstStep:
 class TestStepAgainstReference:
     def test_unitary_walk_matches_reference_for_20_steps(self):
         cfg = config(DisorderMode.NONE, 0.0, steps=20)
-        traj = run_trajectory(cfg, 0, keep_states=True)
+        states = walk_states(cfg)
         history = ref_run(20)
         for n in (1, 5, 13, 20):
-            state = traj.states[n]
+            state = states[n]
             for site, (h, v) in history[n].items():
                 got_h, got_v = state.site_amplitudes(*site)
                 assert got_h == pytest.approx(h, abs=1e-12)
@@ -102,9 +105,10 @@ class TestStepAgainstReference:
 
     def test_norm_preserved_for_any_phases(self, rng):
         cfg = config(DisorderMode.STATIC_SPATIAL, math.pi, steps=10, seed=3)
-        traj = run_trajectory(cfg, 0, keep_states=True)
-        for state in traj.states:
+        traj = run_trajectory(cfg, 0)
+        for n, state in enumerate(walk_states(cfg)):
             assert abs(state.norm() - 1.0) <= 1e-12
+            np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
 
 
 class TestRunTrajectory:
@@ -123,6 +127,21 @@ class TestRunTrajectory:
         v_engine = variance_series(traj.probabilities, traj.half_width)[20]
         v_ref = ref_variance(ref_probs(ref_run(20)[-1]))
         assert v_engine == pytest.approx(v_ref, abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_phase_names_trajectory_and_step(self, bad, monkeypatch):
+        real = PhaseSampler.phases_for_step
+
+        def corrupt(self, n, half_width):
+            if n == 2:
+                return PhaseMatrix(np.float64(bad), None, n)
+            return real(self, n, half_width)
+
+        monkeypatch.setattr(PhaseSampler, "phases_for_step", corrupt)
+        cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 4, realizations=8)
+        with pytest.raises(InvariantViolationError, match="trajectory 5: norm at step 2"):
+            run_trajectory(cfg, 5)
 
     def test_support_and_parity_all_steps(self):
         traj = run_trajectory(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 12, seed=8), 0)
@@ -256,6 +275,34 @@ class TestExactRun:
         p = exact.probabilities
         bound = 3.0 * np.sqrt(p * (1 - p) / cfg.realizations) + 1e-12
         assert np.all(np.abs(ens.mean_probabilities - p) <= bound)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_site_probabilities_are_an_invariant_violation(self, bad,
+                                                                       monkeypatch):
+        real = DensityState.site_probabilities
+
+        def corrupt(self):
+            probs = real(self)
+            if self.step_count == 2:
+                probs[self.half_width, self.half_width] = bad
+            return probs
+
+        monkeypatch.setattr(DensityState, "site_probabilities", corrupt)
+        with pytest.raises(InvariantViolationError, match="oracle trace at step 2"):
+            exact_run(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi / 2, 3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cross_site_factor_stays_off_the_populations(self, bad,
+                                                                     monkeypatch):
+        # a step's populations sit in the same-site blocks, which the
+        # cross-site factor must never touch
+        import qwalk2d.evolve as evolve_mod
+
+        cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi / 2, 1)
+        clean = exact_run(cfg).probabilities
+        monkeypatch.setattr(evolve_mod, "cross_site_coherence_factor", lambda zeta: bad)
+        np.testing.assert_array_equal(exact_run(cfg).probabilities, clean)
 
     def test_oracle_scale_cap(self):
         from qwalk2d import ConfigError

@@ -121,6 +121,12 @@ class TestDistributionCsv:
         with pytest.raises(InvariantViolationError):
             write_distribution_csv([empty], tmp_path / "d.csv")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distribution_rejected(self, tmp_path, bad):
+        dists = [make_dist({(0, 0): 1.0}, 1, step=0), make_dist({(1, 1): bad}, 1, step=3)]
+        with pytest.raises(InvariantViolationError, match="step 3"):
+            write_distribution_csv(dists, tmp_path / "d.csv")
+
     def test_bad_header_rejected_on_read(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -279,6 +285,41 @@ class TestCliFit:
         doc = read_result_json(refit)
         assert doc["config"]["mode"] == "none"
         assert doc["config"]["seed"] == 6
+
+
+class TestCliFitInput:
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "4",
+                     "--realizations", "1", "--seed", "6", "--threads", "1",
+                     "--out-dir", str(out)]) == 0
+        return out
+
+    def test_bad_fit_flag_is_config_error(self, run_dir, capsys):
+        code = main(["fit", str(run_dir / "distributions.csv"), "--fit-n-lo", "abc"])
+        assert code == 2
+        assert "fit.n_lo" in capsys.readouterr().err
+        assert not (run_dir / "fits.json").exists()
+
+    @pytest.mark.parametrize("row", ["0,0,0,x", "0,0,0", "0,a,0,1.0"])
+    def test_malformed_row_is_config_error(self, tmp_path, capsys, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"step,i,j,p\n{row}\n")
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 2" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_probability_exits_4(self, run_dir, capsys, bad):
+        path = run_dir / "distributions.csv"
+        lines = path.read_text().splitlines()
+        step, i, j, _ = lines[-1].split(",")
+        lines[-1] = f"{step},{i},{j},{bad}"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path)]) == 4
+        assert f"step {step}" in capsys.readouterr().err
+        assert not (run_dir / "fits.json").exists()
 
 
 class TestCliExitCodes:

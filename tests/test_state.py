@@ -12,9 +12,8 @@ from qwalk2d import (
     apply_dephasing,
     apply_shift_x,
     apply_shift_y,
-    distribution,
     initial_state,
-    variance,
+    variance_series,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -46,8 +45,7 @@ def single_site_state(i, j, ah, av, half_width=3):
 class TestInitialState:
     def test_all_probability_at_origin(self):
         s = initial_state(3)
-        d = distribution(s)
-        assert d.prob(0, 0) == pytest.approx(1.0, abs=1e-12)
+        assert s.probabilities()[3, 3] == pytest.approx(1.0, abs=1e-12)
         assert s.norm() == pytest.approx(1.0, abs=1e-12)
         assert s.step_count == 0
 
@@ -59,7 +57,7 @@ class TestInitialState:
         assert av == pytest.approx(1j * ah, abs=1e-15)
 
     def test_delta_distribution_has_zero_variance(self):
-        assert variance(distribution(initial_state(2))) == 0.0
+        assert variance_series(initial_state(2).probabilities()[np.newaxis], 2)[0] == 0.0
 
 
 class TestCoin:
@@ -89,7 +87,7 @@ class TestShifts:
     def test_h_moves_left_in_x(self):
         out = apply_shift_x(single_site_state(0, 0, 1.0, 0.0))
         assert out.site_amplitudes(-1, 0)[0] == pytest.approx(1.0)
-        assert distribution(out).prob(-1, 0) == pytest.approx(1.0)
+        assert out.probabilities()[2, 3] == pytest.approx(1.0)
 
     def test_v_moves_right_in_x(self):
         out = apply_shift_x(single_site_state(0, 0, 0.0, 1.0))
@@ -142,8 +140,7 @@ class TestDephasing:
     def test_site_probabilities_unchanged(self, rng):
         s = random_state(rng)
         out = apply_dephasing(s, self.grid_phases(rng, s.half_width))
-        np.testing.assert_allclose(distribution(out).probs, distribution(s).probs,
-                                   atol=1e-14)
+        np.testing.assert_allclose(out.probabilities(), s.probabilities(), atol=1e-14)
 
     def test_relative_phase_changes_by_exactly_phi(self, rng):
         s = random_state(rng)
