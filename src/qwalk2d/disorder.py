@@ -134,7 +134,6 @@ class PhaseSampler:
 
     def __init__(self, config: DisorderConfig, trajectory_index: int):
         self.config = config
-        self.trajectory_index = trajectory_index
         self.rng = trajectory_rng(config.master_seed, trajectory_index)
         self._static: PhaseMatrix | None = None
 

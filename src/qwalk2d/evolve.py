@@ -30,20 +30,23 @@ from .state import (
     initial_state,
 )
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
 # dense density matrices grow as (2 * (2n+1)^2)^2; past this the oracle is
 # no longer a sensible tool
 MAX_ORACLE_STEPS = 10
 
 
+def _unitary(state: WalkState) -> WalkState:
+    """The deterministic part of a step, U = S_Y H S_X H, on the trailing
+    (L, L, 2) axes; each intermediate is dropped as soon as it is consumed."""
+    state = apply_coin(state)
+    state = apply_shift_x(state)
+    state = apply_coin(state)
+    return apply_shift_y(state)
+
+
 def step(state: WalkState, phases: PhaseMatrix) -> WalkState:
     """Advance one full step: coin, x shift, coin, y shift, dephasing."""
-    out = apply_coin(state)
-    out = apply_shift_x(out)
-    out = apply_coin(out)
-    out = apply_shift_y(out)
-    out = apply_dephasing(out, phases)
+    out = apply_dephasing(_unitary(state), phases)
     out.step_count = state.step_count + 1
     return out
 
@@ -57,7 +60,6 @@ class TrajectoryResult:
 
     probabilities: np.ndarray
     half_width: int
-    trajectory_index: int
 
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
@@ -78,7 +80,7 @@ def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryR
         state = step(state, sampler.phases_for_step(n, state.half_width))
         probs[n] = state.probabilities()
         check_unit_total(probs[n].sum(), f"trajectory {trajectory_index}: norm at step {n}")
-    return TrajectoryResult(probs, n_steps, trajectory_index)
+    return TrajectoryResult(probs, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +143,6 @@ def cross_site_coherence_factor(zeta: float) -> float:
     return float(np.sinc(zeta / (2.0 * np.pi)) ** 2)
 
 
-def _apply_coin_tensor(t: np.ndarray, coin_axis: int) -> np.ndarray:
-    tt = np.moveaxis(t, coin_axis, -1)
-    out = np.empty_like(tt)
-    out[..., 0] = (tt[..., 0] + tt[..., 1]) * _INV_SQRT2
-    out[..., 1] = (tt[..., 0] - tt[..., 1]) * _INV_SQRT2
-    return np.moveaxis(out, -1, coin_axis)
-
-
-def _apply_shift_tensor(t: np.ndarray, site_axis: int, coin_axis: int) -> np.ndarray:
-    tt = np.moveaxis(t, (site_axis, coin_axis), (0, 1))
-    if tt[0, 0].any() or tt[-1, 1].any():
-        raise LatticeOverflowError("shift would move weight past the oracle lattice bound")
-    out = np.zeros_like(tt)
-    out[:-1, 0] = tt[1:, 0]
-    out[1:, 1] = tt[:-1, 1]
-    return np.moveaxis(out, (0, 1), (site_axis, coin_axis))
-
-
 def _coin_block(config: DisorderConfig) -> np.ndarray | None:
     """Phase-averaged damping of one site's own 2x2 coin block; None if undamped.
 
@@ -195,14 +179,15 @@ def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityS
         )
     block = _coin_block(config)
     size = dstate.grid_size
+    h = dstate.half_width
     t = dstate.rho.reshape(size, size, 2, size, size, 2)
-    # U rho U^dagger with U = S_Y H S_X H: forward ops on the ket axes,
-    # conjugated ops on the bra axes (all four are real, so identical)
-    for site_axis, coin_axis in ((0, 2), (3, 5)):
-        t = _apply_coin_tensor(t, coin_axis)
-        t = _apply_shift_tensor(t, site_axis, coin_axis)
-        t = _apply_coin_tensor(t, coin_axis)
-        t = _apply_shift_tensor(t, site_axis + 1, coin_axis)
+    # U rho U^dagger: U on the ket axes (moved last), then on the bra axes
+    # (U is real, so its conjugate is U).  The calls are nested so the
+    # ket-side result is freed while the bra side consumes it.
+    t = _unitary(WalkState(
+        _unitary(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h)).amps.transpose(3, 4, 5, 0, 1, 2),
+        h,
+    )).amps
     if block is not None and config.mode is DisorderMode.DYNAMICAL_UNIFORM:
         t = t * block.reshape(1, 1, 2, 1, 1, 2)
     elif block is not None:

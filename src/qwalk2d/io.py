@@ -174,31 +174,43 @@ def write_distribution_csv(dists, path) -> None:
 
 
 def read_distribution_csv(path) -> list[Distribution2D]:
-    """Read distributions back; steps must be contiguous from 0."""
-    rows = []
+    """Read distributions back; steps must be contiguous from 0, each
+    (step, i, j) may appear once and no p may be negative."""
+    rows = {}
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != ["step", "i", "j", "p"]:
-            raise ConfigError(f"{path}: expected header step,i,j,p, got {reader.fieldnames}")
-        try:
-            for record in reader:
-                rows.append((int(record["step"]), int(record["i"]), int(record["j"]),
-                             float(record["p"])))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{path}: line {reader.line_num}: expected integers step,i,j "
-                f"and a float p, got {list(record.values())}"
-            ) from None
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != ["step", "i", "j", "p"]:
+            raise ConfigError(f"{path}: expected header step,i,j,p, got {header}")
+        for row in reader:
+            if not row:
+                continue  # blank line
+            try:
+                step, i, j, p = row
+                key, p = (int(step), int(i), int(j)), float(p)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: expected integers step,i,j "
+                    f"and a float p, got {row}"
+                ) from None
+            if p < 0:
+                raise ConfigError(f"{path}: line {reader.line_num}: negative p = {p!r}")
+            if key in rows:
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: repeats step {key[0]}, "
+                    f"site ({key[1]}, {key[2]})"
+                )
+            rows[key] = p
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    steps = sorted({r[0] for r in rows})
+    steps = sorted({key[0] for key in rows})
     if steps != list(range(len(steps))):
         raise ConfigError(f"{path}: steps are not contiguous from 0: {steps}")
-    half_width = max(max(abs(r[1]), abs(r[2])) for r in rows)
+    half_width = max(max(abs(i), abs(j)) for _, i, j in rows)
     half_width = max(half_width, 1)
     size = 2 * half_width + 1
     grids = np.zeros((len(steps), size, size))
-    for step, i, j, p in rows:
+    for (step, i, j), p in rows.items():
         grids[step, i + half_width, j + half_width] = p
     dists = []
     for step in steps:

@@ -30,6 +30,9 @@ class WalkState:
 
     amps has shape (L, L, 2) with L = 2 * half_width + 1; the amplitude of
     site (i, j) with coin c sits at amps[i + half_width, j + half_width, c].
+    The coin and shift functions act on the trailing (L, L, 2) axes only, so
+    an amps array with leading batch axes is a stack of walk states; the
+    exact oracle uses this to apply the walk unitary to a density matrix.
     """
 
     amps: np.ndarray
@@ -85,26 +88,26 @@ def apply_coin(state: WalkState) -> WalkState:
 def apply_shift_x(state: WalkState) -> WalkState:
     """Conditional shift along x: H amplitude to (i-1, j), V to (i+1, j)."""
     a = state.amps
-    if a[0, :, COIN_H].any() or a[-1, :, COIN_V].any():
+    if a[..., 0, :, COIN_H].any() or a[..., -1, :, COIN_V].any():
         raise LatticeOverflowError(
             f"x shift would move amplitude past |i| = {state.half_width}"
         )
     out = np.zeros_like(a)
-    out[:-1, :, COIN_H] = a[1:, :, COIN_H]
-    out[1:, :, COIN_V] = a[:-1, :, COIN_V]
+    out[..., :-1, :, COIN_H] = a[..., 1:, :, COIN_H]
+    out[..., 1:, :, COIN_V] = a[..., :-1, :, COIN_V]
     return WalkState(out, state.half_width, state.step_count)
 
 
 def apply_shift_y(state: WalkState) -> WalkState:
     """Conditional shift along y: H amplitude to (i, j-1), V to (i, j+1)."""
     a = state.amps
-    if a[:, 0, COIN_H].any() or a[:, -1, COIN_V].any():
+    if a[..., 0, COIN_H].any() or a[..., -1, COIN_V].any():
         raise LatticeOverflowError(
             f"y shift would move amplitude past |j| = {state.half_width}"
         )
     out = np.zeros_like(a)
-    out[:, :-1, COIN_H] = a[:, 1:, COIN_H]
-    out[:, 1:, COIN_V] = a[:, :-1, COIN_V]
+    out[..., :-1, COIN_H] = a[..., 1:, COIN_H]
+    out[..., 1:, COIN_V] = a[..., :-1, COIN_V]
     return WalkState(out, state.half_width, state.step_count)
 
 

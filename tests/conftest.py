@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qwalk2d import PhaseSampler, initial_state, step
+from qwalk2d import PhaseSampler, WalkState, initial_state, step
 
 
 def assert_support_ok(prob_grid, half_width, n):
@@ -24,6 +24,22 @@ def walk_states(config, trajectory_index=0):
     for n in range(1, config.steps + 1):
         states.append(step(states[-1], sampler.phases_for_step(n, config.steps)))
     return states
+
+
+def random_state(rng, half_width=4, support=None, real=False):
+    """Normalized random state; support leaves an empty margin so shifts
+    never hit the grid edge."""
+    support = half_width // 2 if support is None else support
+    size = 2 * half_width + 1
+    inner = 2 * support + 1
+    amps = np.zeros((size, size, 2), dtype=np.complex128)
+    block = rng.normal(size=(inner, inner, 2))
+    if not real:
+        block = block + 1j * rng.normal(size=(inner, inner, 2))
+    lo = half_width - support
+    amps[lo:lo + inner, lo:lo + inner] = block
+    amps /= np.sqrt(np.vdot(amps, amps).real)
+    return WalkState(amps, half_width, step_count=0)
 
 
 @pytest.fixture

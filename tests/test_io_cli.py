@@ -302,13 +302,25 @@ class TestCliFitInput:
         assert "fit.n_lo" in capsys.readouterr().err
         assert not (run_dir / "fits.json").exists()
 
-    @pytest.mark.parametrize("row", ["0,0,0,x", "0,0,0", "0,a,0,1.0"])
+    @pytest.mark.parametrize("row", ["0,0,0,x", "0,0,0", "0,a,0,1.0", "0,0,0,1.0,7"])
     def test_malformed_row_is_config_error(self, tmp_path, capsys, row):
         path = tmp_path / "d.csv"
         path.write_text(f"step,i,j,p\n{row}\n")
         assert main(["fit", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "line 2" in err
+
+    @pytest.mark.parametrize("rows,reason", [
+        ("0,0,0,2.0\n0,1,1,-1.0", "negative"),
+        ("0,0,0,0.5\n0,0,0,1.0", "repeats step 0, site (0, 0)"),
+    ], ids=["negative-p", "repeated-row"])
+    def test_invalid_row_is_config_error(self, tmp_path, capsys, rows, reason):
+        # each file sums to 1 per step, so only the row check can catch it
+        path = tmp_path / "d.csv"
+        path.write_text(f"step,i,j,p\n{rows}\n")
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 3" in err and reason in err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_probability_exits_4(self, run_dir, capsys, bad):

@@ -15,24 +15,9 @@ from qwalk2d import (
     initial_state,
     variance_series,
 )
+from conftest import random_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def random_state(rng, half_width=4, support=None, real=False):
-    """Normalized random state; support leaves an empty margin so shifts
-    never hit the grid edge."""
-    support = half_width // 2 if support is None else support
-    size = 2 * half_width + 1
-    inner = 2 * support + 1
-    amps = np.zeros((size, size, 2), dtype=np.complex128)
-    block = rng.normal(size=(inner, inner, 2))
-    if not real:
-        block = block + 1j * rng.normal(size=(inner, inner, 2))
-    lo = half_width - support
-    amps[lo:lo + inner, lo:lo + inner] = block
-    amps /= np.sqrt(np.vdot(amps, amps).real)
-    return WalkState(amps, half_width, step_count=0)
 
 
 def single_site_state(i, j, ah, av, half_width=3):
