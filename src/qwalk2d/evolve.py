@@ -5,6 +5,11 @@ trajectory with a fixed phase draw stays a pure state.  The oracle evolves
 the full density matrix under the phase-averaged channel instead; it has no
 sampling error but scales as the square of the lattice size, so it is only
 meant for short walks.
+
+Both engines evolve a window that follows the light cone: it starts with
+half width 1 and gains one empty ring (state.pad_ring) before every step
+after the first, so after n steps it covers |i|, |j| <= n.  Each step's
+window is written into the centre of a zeroed (N+1, 2N+1, 2N+1) stack.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .state import (
     apply_shift_x,
     apply_shift_y,
     initial_state,
+    pad_ring,
 )
 
 # dense density matrices grow as (2 * (2n+1)^2)^2; past this the oracle is
@@ -62,24 +68,34 @@ class TrajectoryResult:
     half_width: int
 
 
+def _centred(grid: np.ndarray, window: np.ndarray) -> None:
+    """Write a square window into the centre of a larger square grid."""
+    off = (grid.shape[0] - window.shape[0]) // 2
+    grid[off:off + window.shape[0], off:off + window.shape[1]] = window
+
+
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
     """Run one realization for config.steps steps.
 
-    The grid half width equals config.steps, so the support can never reach
-    the boundary.  Raises InvariantViolationError, naming the trajectory and
-    the step, as soon as a step's total probability is not 1 (see
-    check_unit_total).
+    The state grows with the light cone (see the module docstring), while
+    the phases are drawn on the whole half-width config.steps grid, so the
+    random stream is that of a walk on the full lattice.  Raises
+    InvariantViolationError, naming the trajectory and the step, as soon as
+    a step's total probability is not 1 (see check_unit_total).
     """
     n_steps = config.steps
     sampler = PhaseSampler(config, trajectory_index)
-    state = initial_state(n_steps)
-    size = state.grid_size
-    probs = np.empty((n_steps + 1, size, size), dtype=float)
-    probs[0] = state.probabilities()
+    state = initial_state(1)
+    size = 2 * n_steps + 1
+    probs = np.zeros((n_steps + 1, size, size), dtype=float)
+    _centred(probs[0], state.probabilities())
     for n in range(1, n_steps + 1):
-        state = step(state, sampler.phases_for_step(n, state.half_width))
-        probs[n] = state.probabilities()
-        check_unit_total(probs[n].sum(), f"trajectory {trajectory_index}: norm at step {n}")
+        if n > 1:
+            state = pad_ring(state)
+        state = step(state, sampler.phases_for_step(n, n_steps))
+        window = state.probabilities()
+        check_unit_total(window.sum(), f"trajectory {trajectory_index}: norm at step {n}")
+        _centred(probs[n], window)
     return TrajectoryResult(probs, n_steps)
 
 
@@ -163,6 +179,25 @@ def _coin_block(config: DisorderConfig) -> np.ndarray | None:
     return np.array([[1.0, same_coin], [same_coin, 1.0]])
 
 
+def _on_both_sides(op, dstate: DensityState) -> np.ndarray:
+    """A state operation applied to the ket axes (moved last), then to the bra
+    axes, of rho as a (L, L, 2, L, L, 2) tensor.  The calls are nested so
+    the ket-side result is freed while the bra side consumes it."""
+    size, h = dstate.grid_size, dstate.half_width
+    t = dstate.rho.reshape(size, size, 2, size, size, 2)
+    return op(WalkState(
+        op(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h)).amps.transpose(3, 4, 5, 0, 1, 2),
+        h,
+    )).amps
+
+
+def _pad_density(dstate: DensityState) -> DensityState:
+    """The same density matrix on a lattice one ring wider; the ring is empty."""
+    t = _on_both_sides(pad_ring, dstate)
+    dim = 2 * t.shape[0] ** 2
+    return DensityState(t.reshape(dim, dim), dstate.half_width + 1, dstate.step_count)
+
+
 def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityState:
     """One step of the phase-averaged channel on a density matrix.
 
@@ -179,22 +214,16 @@ def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityS
         )
     block = _coin_block(config)
     size = dstate.grid_size
-    h = dstate.half_width
-    t = dstate.rho.reshape(size, size, 2, size, size, 2)
-    # U rho U^dagger: U on the ket axes (moved last), then on the bra axes
-    # (U is real, so its conjugate is U).  The calls are nested so the
-    # ket-side result is freed while the bra side consumes it.
-    t = _unitary(WalkState(
-        _unitary(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h)).amps.transpose(3, 4, 5, 0, 1, 2),
-        h,
-    )).amps
+    # U rho U^dagger: U on the ket axes, then on the bra axes (U is real,
+    # so its conjugate is U)
+    t = _on_both_sides(_unitary, dstate)
     if block is not None and config.mode is DisorderMode.DYNAMICAL_UNIFORM:
-        t = t * block.reshape(1, 1, 2, 1, 1, 2)
+        t *= block.reshape(1, 1, 2, 1, 1, 2)
     elif block is not None:
         sites = np.arange(size)
         ii, jj = sites[:, None], sites[None, :]
         own = t[ii, jj, :, ii, jj, :]
-        t = t * cross_site_coherence_factor(config.zeta)
+        t *= cross_site_coherence_factor(config.zeta)
         t[ii, jj, :, ii, jj, :] = own * block
     dim = 2 * size * size
     return DensityState(t.reshape(dim, dim), dstate.half_width, dstate.step_count + 1)
@@ -213,7 +242,9 @@ class ExactRunResult:
 def exact_run(config: DisorderConfig, n_max: int | None = None) -> ExactRunResult:
     """Evolve the averaged channel for n_max steps (default config.steps).
 
-    Intended for small lattices only: the density matrix has dimension
+    The lattice grows with the light cone (see the module docstring), so
+    step n works on a density matrix of dimension 2 (2n + 1)^2.  Intended
+    for small lattices only: the last step's matrix has dimension
     2 (2 n_max + 1)^2, so runs are capped at MAX_ORACLE_STEPS steps.
     """
     n_steps = config.steps if n_max is None else n_max
@@ -223,12 +254,15 @@ def exact_run(config: DisorderConfig, n_max: int | None = None) -> ExactRunResul
             f"(dense density matrix), got {n_steps}"
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
-    dstate = initial_density(n_steps)
-    size = dstate.grid_size
-    probs = np.empty((n_steps + 1, size, size), dtype=float)
-    probs[0] = dstate.site_probabilities()
+    dstate = initial_density(1)
+    size = 2 * n_steps + 1
+    probs = np.zeros((n_steps + 1, size, size), dtype=float)
+    _centred(probs[0], dstate.site_probabilities())
     for n in range(1, n_steps + 1):
+        if n > 1:
+            dstate = _pad_density(dstate)
         dstate = exact_step_density(dstate, config)
-        probs[n] = dstate.site_probabilities()
-        check_unit_total(probs[n].sum(), f"oracle trace at step {n}")
+        window = dstate.site_probabilities()
+        check_unit_total(window.sum(), f"oracle trace at step {n}")
+        _centred(probs[n], window)
     return ExactRunResult(config, probs, variance_series(probs, n_steps), n_steps)

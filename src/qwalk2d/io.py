@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -203,17 +204,17 @@ def read_distribution_csv(path) -> list[Distribution2D]:
             rows[key] = p
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    steps = sorted({key[0] for key in rows})
-    if steps != list(range(len(steps))):
-        raise ConfigError(f"{path}: steps are not contiguous from 0: {steps}")
-    half_width = max(max(abs(i), abs(j)) for _, i, j in rows)
-    half_width = max(half_width, 1)
+    keys = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows)).reshape(-1, 3)
+    steps = np.unique(keys[:, 0])
+    if not np.array_equal(steps, np.arange(len(steps))):
+        raise ConfigError(f"{path}: steps are not contiguous from 0: {steps.tolist()}")
+    half_width = max(int(np.abs(keys[:, 1:]).max()), 1)
     size = 2 * half_width + 1
     grids = np.zeros((len(steps), size, size))
-    for (step, i, j), p in rows.items():
-        grids[step, i + half_width, j + half_width] = p
+    grids[keys[:, 0], keys[:, 1] + half_width, keys[:, 2] + half_width] = \
+        np.fromiter(rows.values(), float, len(rows))
     dists = []
-    for step in steps:
+    for step in range(len(steps)):
         check_unit_total(grids[step].sum(), f"{path}: distribution sum at step {step}")
         dists.append(Distribution2D(grids[step], half_width, step))
     return dists

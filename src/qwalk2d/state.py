@@ -2,8 +2,10 @@
 
 The walker lives on sites (i, j) and carries a polarization coin spanned by
 |H> and |V>.  Amplitudes are stored densely on the square |i|, |j| <=
-half_width; sizing the grid to the number of steps that will be taken makes
-the boundary unreachable, so the dynamics are those of the unbounded
+half_width.  A step moves the walker at most one site along each axis, so
+a state whose grid gains one empty ring (pad_ring) before every step after
+the first never reaches the boundary: the grid follows the light cone, with
+half width n after n steps, and the dynamics are those of the unbounded
 lattice.  All operations are pure: they return a new state and never mutate
 their input.
 """
@@ -64,8 +66,9 @@ class WalkState:
 def initial_state(half_width: int) -> WalkState:
     """Walker at the central site (0, 0) in the coin state (|H> + i|V>)/sqrt(2).
 
-    half_width fixes the grid size and must be at least the number of steps
-    the state will be evolved for.
+    half_width fixes the grid size.  The first step fits on half_width 1;
+    each later step needs one more ring, from pad_ring or from a larger
+    half_width here.
     """
     if half_width < 1:
         raise ValueError(f"half_width must be >= 1, got {half_width!r}")
@@ -74,6 +77,17 @@ def initial_state(half_width: int) -> WalkState:
     amps[half_width, half_width, COIN_H] = _INV_SQRT2
     amps[half_width, half_width, COIN_V] = 1j * _INV_SQRT2
     return WalkState(amps, half_width, step_count=0)
+
+
+def pad_ring(state: WalkState) -> WalkState:
+    """The same state on a grid one site wider on every side; the new ring is empty.
+
+    Acts on the trailing (L, L, 2) axes, like the coin and the shifts.
+    """
+    a = state.amps
+    out = np.zeros(a.shape[:-3] + (a.shape[-3] + 2, a.shape[-2] + 2, 2), dtype=a.dtype)
+    out[..., 1:-1, 1:-1, :] = a
+    return WalkState(out, state.half_width + 1, state.step_count)
 
 
 def apply_coin(state: WalkState) -> WalkState:
@@ -117,10 +131,15 @@ def apply_dephasing(state: WalkState, phases: PhaseMatrix) -> WalkState:
     The relative H-V phase at site (i, j) changes by exactly phi(i, j);
     site probabilities are untouched.  Raises PhaseCoverageError if the
     matrix does not cover the state's grid.
+
+    The amplitude is always the first factor.  Complex products round
+    differently with the operands swapped, and numpy swaps them on its own
+    when it reuses a large temporary such as np.conj(half_turn), which would
+    make a site's result depend on the grid size.
     """
     values = phases.values_for(state.half_width)
     half_turn = np.exp(-0.5j * values)
     out = np.empty_like(state.amps)
-    out[..., COIN_H] = state.amps[..., COIN_H] * half_turn
-    out[..., COIN_V] = state.amps[..., COIN_V] * np.conj(half_turn)
+    np.multiply(state.amps[..., COIN_H], half_turn, out=out[..., COIN_H])
+    np.multiply(state.amps[..., COIN_V], np.conj(half_turn), out=out[..., COIN_V])
     return WalkState(out, state.half_width, state.step_count)

@@ -143,6 +143,17 @@ class TestRunTrajectory:
         with pytest.raises(InvariantViolationError, match="trajectory 5: norm at step 2"):
             run_trajectory(cfg, 5)
 
+    @pytest.mark.parametrize("mode", [DisorderMode.DYNAMICAL_SPATIAL,
+                                      DisorderMode.STATIC_SPATIAL])
+    def test_light_cone_window_matches_full_grid_bit_for_bit(self, mode):
+        # at N=64 the full grid passes 16384 sites, where numpy would reorder
+        # the dephasing product on its own; the window stays below that size
+        # until step 64, so only a fixed operand order keeps the two equal
+        cfg = config(mode, math.pi, 64, seed=11)
+        traj = run_trajectory(cfg, 3)
+        for n, state in enumerate(walk_states(cfg, 3)):
+            np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
+
     def test_support_and_parity_all_steps(self):
         traj = run_trajectory(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 12, seed=8), 0)
         for n in range(13):
@@ -303,6 +314,33 @@ class TestExactRun:
         clean = exact_run(cfg).probabilities
         monkeypatch.setattr(evolve_mod, "cross_site_coherence_factor", lambda zeta: bad)
         np.testing.assert_array_equal(exact_run(cfg).probabilities, clean)
+
+    @pytest.mark.parametrize("mode", [DisorderMode.NONE, DisorderMode.DYNAMICAL_SPATIAL,
+                                      DisorderMode.DYNAMICAL_UNIFORM])
+    def test_light_cone_lattice_matches_full_lattice_bit_for_bit(self, mode):
+        cfg = config(mode, math.pi / 2, 10)
+        d = initial_density(10)
+        full = [d.site_probabilities()]
+        for _ in range(10):
+            d = exact_step_density(d, cfg)
+            full.append(d.site_probabilities())
+        np.testing.assert_array_equal(exact_run(cfg).probabilities, np.stack(full))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("factor", ["cross_site_coherence_factor",
+                                        "same_site_coherence_factor"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_damping_factor_is_an_invariant_violation(self, bad, factor,
+                                                                 monkeypatch, tmp_path):
+        # the coherences it damps at step 1 reach the populations at step 2
+        import qwalk2d.evolve as evolve_mod
+        from qwalk2d.cli import main
+
+        monkeypatch.setattr(evolve_mod, factor, lambda zeta: bad)
+        with pytest.raises(InvariantViolationError, match="oracle trace at step 2"):
+            exact_run(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi / 2, 3))
+        assert main(["oracle", "--mode", "dynamical-spatial", "--zeta", "pi/2", "--steps", "3",
+                     "--seed", "1", "--out-dir", str(tmp_path)]) == 4
 
     def test_oracle_scale_cap(self):
         from qwalk2d import ConfigError
