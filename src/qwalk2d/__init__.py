@@ -6,14 +6,10 @@ evolves the exact phase-averaged channel on small lattices for validation.
 """
 
 from .analysis import (
-    AxisCuts,
     Distribution2D,
-    LocalizationFit,
-    ScalingFit,
     axis_cuts,
     fit_localization,
     fit_scaling_exponent,
-    mean_position,
     variance_series,
 )
 from .disorder import (
@@ -24,7 +20,7 @@ from .disorder import (
     derive_trajectory_seed,
     trajectory_rng,
 )
-from .ensemble import EnsembleResult, merge_results, run_ensemble
+from .ensemble import merge_results, run_ensemble
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -37,11 +33,7 @@ from .errors import (
 )
 from .evolve import (
     DensityState,
-    ExactRunResult,
-    TrajectoryResult,
-    basis_index,
     cross_site_coherence_factor,
-    density_from_state,
     exact_run,
     exact_step_density,
     initial_density,
@@ -63,7 +55,6 @@ from .state import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisCuts",
     "AnalysisError",
     "COIN_H",
     "COIN_V",
@@ -72,18 +63,13 @@ __all__ = [
     "DisorderConfig",
     "DisorderMode",
     "Distribution2D",
-    "EnsembleResult",
-    "ExactRunResult",
     "InvariantViolationError",
     "LatticeOverflowError",
-    "LocalizationFit",
     "PhaseCoverageError",
     "PhaseMatrix",
     "PhaseSampler",
     "QwalkError",
-    "ScalingFit",
     "TrajectoryFailure",
-    "TrajectoryResult",
     "UnsupportedModeError",
     "WalkState",
     "apply_coin",
@@ -91,9 +77,7 @@ __all__ = [
     "apply_shift_x",
     "apply_shift_y",
     "axis_cuts",
-    "basis_index",
     "cross_site_coherence_factor",
-    "density_from_state",
     "derive_trajectory_seed",
     "exact_run",
     "exact_step_density",
@@ -101,7 +85,6 @@ __all__ = [
     "fit_scaling_exponent",
     "initial_density",
     "initial_state",
-    "mean_position",
     "merge_results",
     "run_ensemble",
     "run_trajectory",

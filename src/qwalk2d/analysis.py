@@ -25,12 +25,6 @@ class Distribution2D:
     half_width: int
     step: int
 
-    def prob(self, i: int, j: int) -> float:
-        h = self.half_width
-        if abs(i) > h or abs(j) > h:
-            return 0.0
-        return float(self.probs[i + h, j + h])
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -82,11 +76,6 @@ def variance_series(prob_stack: np.ndarray, half_width: int) -> np.ndarray:
     vx = px @ (r ** 2) - mu_x ** 2
     vy = py @ (r ** 2) - mu_y ** 2
     return vx + vy
-
-
-def mean_position(dist: Distribution2D) -> tuple[float, float]:
-    r = site_coordinates(dist.half_width).astype(float)
-    return (float(dist.probs.sum(axis=1) @ r), float(dist.probs.sum(axis=0) @ r))
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

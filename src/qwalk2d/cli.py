@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    AxisCuts,
     Distribution2D,
     axis_cuts,
     fit_localization,
@@ -37,8 +36,8 @@ from .io import (
     RunManifest,
     build_result_document,
     manifest_from_pairs,
-    parse_manifest_text,
     read_distribution_csv,
+    read_manifest_pairs,
     render_heatmap_svg,
     write_distribution_csv,
     write_manifest,
@@ -112,7 +111,7 @@ def _flag_pairs(args) -> dict[str, str]:
 def _resolve_manifest(args, force_engine: str | None) -> RunManifest:
     pairs: dict[str, str] = {}
     if args.config:
-        pairs.update(parse_manifest_text(Path(args.config).read_text()))
+        pairs.update(read_manifest_pairs(args.config))
     pairs.update(_flag_pairs(args))
     if force_engine is not None:
         pairs["engine"] = force_engine
@@ -125,7 +124,7 @@ def _compute_fits(variances, final_dist, manifest: RunManifest):
         scaling = fit_scaling_exponent(variances, n_lo, n_hi)
     except AnalysisError as exc:
         scaling = {"error": str(exc)}
-    cuts: AxisCuts = axis_cuts(final_dist)
+    cuts = axis_cuts(final_dist)
     fits = {}
     for name, profile in (("x", cuts.along_x), ("y", cuts.along_y)):
         try:
@@ -182,7 +181,7 @@ def _cmd_fit(args) -> int:
     pairs: dict[str, str] = {}
     config = None
     if args.manifest:
-        pairs = parse_manifest_text(Path(args.manifest).read_text())
+        pairs = read_manifest_pairs(args.manifest)
         config = manifest_from_pairs(pairs).disorder_config()
     # the fit windows default from the stored steps, not the manifest's
     manifest = manifest_from_pairs({**pairs, "steps": str(len(dists) - 1),
@@ -206,10 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AnalysisError as exc:
+    except (ConfigError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

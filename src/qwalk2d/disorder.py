@@ -79,10 +79,6 @@ class PhaseMatrix:
     half_width: int | None
     step: int
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.half_width is None
-
     def values_for(self, half_width: int) -> np.ndarray:
         """Return phases aligned to a grid of the given half width.
 

@@ -48,11 +48,9 @@ class EnsembleResult:
     def trajectory_count(self) -> int:
         return sum(stop - start for start, stop in self.traj_ranges)
 
-    def distribution_at(self, n: int) -> Distribution2D:
-        return Distribution2D(self.mean_probabilities[n], self.half_width, n)
-
     def distributions(self) -> list[Distribution2D]:
-        return [self.distribution_at(n) for n in range(len(self.mean_probabilities))]
+        return [Distribution2D(probs, self.half_width, n)
+                for n, probs in enumerate(self.mean_probabilities)]
 
 
 def _run_chunk(args) -> tuple[int, np.ndarray, np.ndarray]:

@@ -6,10 +6,11 @@ the full density matrix under the phase-averaged channel instead; it has no
 sampling error but scales as the square of the lattice size, so it is only
 meant for short walks.
 
-Both engines evolve a window that follows the light cone: it starts with
-half width 1 and gains one empty ring (state.pad_ring) before every step
-after the first, so after n steps it covers |i|, |j| <= n.  Each step's
-window is written into the centre of a zeroed (N+1, 2N+1, 2N+1) stack.
+Both engines start from the walker on its one site (half width 0) and run
+through one light-cone loop, _light_cone: before every step it pads the
+state with one empty ring, so after n steps the window covers |i|, |j| <= n;
+after the step it checks the window's unit total and writes the window into
+the centre of a zeroed (N+1, 2N+1, 2N+1) stack.
 """
 
 from __future__ import annotations
@@ -74,28 +75,37 @@ def _centred(grid: np.ndarray, window: np.ndarray) -> None:
     grid[off:off + window.shape[0], off:off + window.shape[1]] = window
 
 
+def _light_cone(state, n_steps: int, pad, advance, site_probabilities,
+                what: str) -> np.ndarray:
+    """Per-step site probabilities of state, shape (n_steps + 1, L, L) with
+    L = 2 n_steps + 1.  Before step n, pad widens the state by one ring and
+    the result is rebound, so the narrower state is freed before
+    advance(state, n) runs.  A step whose total is not 1 raises
+    InvariantViolationError naming what and the step."""
+    size = 2 * n_steps + 1
+    probs = np.zeros((n_steps + 1, size, size), dtype=float)
+    _centred(probs[0], site_probabilities(state))
+    for n in range(1, n_steps + 1):
+        state = pad(state)
+        state = advance(state, n)
+        window = site_probabilities(state)
+        check_unit_total(window.sum(), f"{what} at step {n}")
+        _centred(probs[n], window)
+    return probs
+
+
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
     """Run one realization for config.steps steps.
 
     The state grows with the light cone (see the module docstring), while
     the phases are drawn on the whole half-width config.steps grid, so the
-    random stream is that of a walk on the full lattice.  Raises
-    InvariantViolationError, naming the trajectory and the step, as soon as
-    a step's total probability is not 1 (see check_unit_total).
+    random stream is that of a walk on the full lattice.
     """
     n_steps = config.steps
     sampler = PhaseSampler(config, trajectory_index)
-    state = initial_state(1)
-    size = 2 * n_steps + 1
-    probs = np.zeros((n_steps + 1, size, size), dtype=float)
-    _centred(probs[0], state.probabilities())
-    for n in range(1, n_steps + 1):
-        if n > 1:
-            state = pad_ring(state)
-        state = step(state, sampler.phases_for_step(n, n_steps))
-        window = state.probabilities()
-        check_unit_total(window.sum(), f"trajectory {trajectory_index}: norm at step {n}")
-        _centred(probs[n], window)
+    probs = _light_cone(initial_state(0), n_steps, pad_ring,
+                        lambda state, n: step(state, sampler.phases_for_step(n, n_steps)),
+                        WalkState.probabilities, f"trajectory {trajectory_index}: norm")
     return TrajectoryResult(probs, n_steps)
 
 
@@ -120,12 +130,6 @@ class DensityState:
     def grid_size(self) -> int:
         return 2 * self.half_width + 1
 
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
-    def purity(self) -> float:
-        return float(np.vdot(self.rho, self.rho).real)
-
     def site_probabilities(self) -> np.ndarray:
         """(L, L) grid of p(i, j), the coin-traced diagonal."""
         size = self.grid_size
@@ -133,20 +137,10 @@ class DensityState:
         return diag.reshape(size, size, 2).sum(axis=2)
 
 
-def basis_index(i: int, j: int, coin: int, half_width: int) -> int:
-    """Flat basis index of |i, j, coin> in the documented ordering."""
-    size = 2 * half_width + 1
-    return ((i + half_width) * size + (j + half_width)) * 2 + coin
-
-
-def density_from_state(state: WalkState) -> DensityState:
-    """|psi><psi| of a pure state, in the documented basis order."""
-    vec = state.amps.reshape(-1)
-    return DensityState(np.outer(vec, vec.conj()), state.half_width, state.step_count)
-
-
 def initial_density(half_width: int) -> DensityState:
-    return density_from_state(initial_state(half_width))
+    """|psi><psi| of initial_state(half_width), in the documented basis order."""
+    vec = initial_state(half_width).amps.reshape(-1)
+    return DensityState(np.outer(vec, vec.conj()), half_width)
 
 
 def same_site_coherence_factor(zeta: float) -> float:
@@ -179,22 +173,13 @@ def _coin_block(config: DisorderConfig) -> np.ndarray | None:
     return np.array([[1.0, same_coin], [same_coin, 1.0]])
 
 
-def _on_both_sides(op, dstate: DensityState) -> np.ndarray:
-    """A state operation applied to the ket axes (moved last), then to the bra
-    axes, of rho as a (L, L, 2, L, L, 2) tensor.  The calls are nested so
-    the ket-side result is freed while the bra side consumes it."""
-    size, h = dstate.grid_size, dstate.half_width
-    t = dstate.rho.reshape(size, size, 2, size, size, 2)
-    return op(WalkState(
-        op(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h)).amps.transpose(3, 4, 5, 0, 1, 2),
-        h,
-    )).amps
-
-
 def _pad_density(dstate: DensityState) -> DensityState:
-    """The same density matrix on a lattice one ring wider; the ring is empty."""
-    t = _on_both_sides(pad_ring, dstate)
-    dim = 2 * t.shape[0] ** 2
+    """The same density matrix on a lattice one ring wider; the ring is empty.
+    All six axes of rho as a (L, L, 2, L, L, 2) tensor are padded in one store."""
+    size = dstate.grid_size
+    t = np.zeros((size + 2, size + 2, 2) * 2, dtype=dstate.rho.dtype)
+    t[1:-1, 1:-1, :, 1:-1, 1:-1, :] = dstate.rho.reshape((size, size, 2) * 2)
+    dim = 2 * (size + 2) ** 2
     return DensityState(t.reshape(dim, dim), dstate.half_width + 1, dstate.step_count)
 
 
@@ -213,10 +198,16 @@ def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityS
             f"oracle lattice bound {dstate.half_width} cannot hold step {dstate.step_count + 1}"
         )
     block = _coin_block(config)
-    size = dstate.grid_size
-    # U rho U^dagger: U on the ket axes, then on the bra axes (U is real,
-    # so its conjugate is U)
-    t = _on_both_sides(_unitary, dstate)
+    size, h = dstate.grid_size, dstate.half_width
+    # U rho U^dagger with rho as a (L, L, 2, L, L, 2) tensor: U on the ket
+    # axes (moved last), then on the bra axes (U is real, so its conjugate
+    # is U); the calls are nested so the ket-side result is freed while the
+    # bra side consumes it
+    t = dstate.rho.reshape(size, size, 2, size, size, 2)
+    t = _unitary(WalkState(
+        _unitary(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h)).amps.transpose(3, 4, 5, 0, 1, 2),
+        h,
+    )).amps
     if block is not None and config.mode is DisorderMode.DYNAMICAL_UNIFORM:
         t *= block.reshape(1, 1, 2, 1, 1, 2)
     elif block is not None:
@@ -239,30 +230,21 @@ class ExactRunResult:
     half_width: int
 
 
-def exact_run(config: DisorderConfig, n_max: int | None = None) -> ExactRunResult:
-    """Evolve the averaged channel for n_max steps (default config.steps).
+def exact_run(config: DisorderConfig) -> ExactRunResult:
+    """Evolve the averaged channel for config.steps steps.
 
     The lattice grows with the light cone (see the module docstring), so
     step n works on a density matrix of dimension 2 (2n + 1)^2.  Intended
-    for small lattices only: the last step's matrix has dimension
-    2 (2 n_max + 1)^2, so runs are capped at MAX_ORACLE_STEPS steps.
+    for small lattices only: runs are capped at MAX_ORACLE_STEPS steps.
     """
-    n_steps = config.steps if n_max is None else n_max
+    n_steps = config.steps
     if n_steps > MAX_ORACLE_STEPS:
         raise ConfigError(
             f"exact oracle is limited to {MAX_ORACLE_STEPS} steps "
             f"(dense density matrix), got {n_steps}"
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
-    dstate = initial_density(1)
-    size = 2 * n_steps + 1
-    probs = np.zeros((n_steps + 1, size, size), dtype=float)
-    _centred(probs[0], dstate.site_probabilities())
-    for n in range(1, n_steps + 1):
-        if n > 1:
-            dstate = _pad_density(dstate)
-        dstate = exact_step_density(dstate, config)
-        window = dstate.site_probabilities()
-        check_unit_total(window.sum(), f"oracle trace at step {n}")
-        _centred(probs[n], window)
+    probs = _light_cone(initial_density(0), n_steps, _pad_density,
+                        lambda dstate, n: exact_step_density(dstate, config),
+                        DensityState.site_probabilities, "oracle trace")
     return ExactRunResult(config, probs, variance_series(probs, n_steps), n_steps)

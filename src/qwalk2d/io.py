@@ -12,13 +12,13 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import Distribution2D, LocalizationFit, ScalingFit
+from .analysis import Distribution2D
 from .disorder import DisorderConfig, DisorderMode
 from .errors import ConfigError, InvariantViolationError, check_unit_total
 
@@ -36,6 +36,8 @@ def parse_zeta(text: str) -> float:
     if m:
         coef = float(m.group(1)) if m.group(1) else 1.0
         div = float(m.group(2)) if m.group(2) else 1.0
+        if div == 0.0:
+            raise ConfigError(f"zeta value {text!r} divides by zero")
         return coef * math.pi / div
     try:
         return float(text)
@@ -146,8 +148,17 @@ def manifest_to_text(manifest: RunManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_manifest_pairs(path) -> dict[str, str]:
+    """The `key = value` pairs of a config file (see parse_manifest_text)."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    return parse_manifest_text(text)
+
+
 def read_manifest(path) -> RunManifest:
-    return manifest_from_pairs(parse_manifest_text(Path(path).read_text()))
+    return manifest_from_pairs(read_manifest_pairs(path))
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
@@ -176,35 +187,47 @@ def write_distribution_csv(dists, path) -> None:
 
 def read_distribution_csv(path) -> list[Distribution2D]:
     """Read distributions back; steps must be contiguous from 0, each
-    (step, i, j) may appear once and no p may be negative."""
+    (step, i, j) may appear once with |i|, |j| <= step, where a walk can
+    be, and no p may be negative."""
     rows = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["step", "i", "j", "p"]:
-            raise ConfigError(f"{path}: expected header step,i,j,p, got {header}")
-        for row in reader:
-            if not row:
-                continue  # blank line
-            try:
-                step, i, j, p = row
-                key, p = (int(step), int(i), int(j)), float(p)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: expected integers step,i,j "
-                    f"and a float p, got {row}"
-                ) from None
-            if p < 0:
-                raise ConfigError(f"{path}: line {reader.line_num}: negative p = {p!r}")
-            if key in rows:
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: repeats step {key[0]}, "
-                    f"site ({key[1]}, {key[2]})"
-                )
-            rows[key] = p
+        try:
+            header = next(reader, None)
+            if header != ["step", "i", "j", "p"]:
+                raise ConfigError(f"{path}: expected header step,i,j,p, got {header}")
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                try:
+                    step, i, j, p = row
+                    step, i, j, p = int(step), int(i), int(j), float(p)
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: expected integers step,i,j "
+                        f"and a float p, got {row}"
+                    ) from None
+                key = (step, i, j)
+                if p < 0:
+                    raise ConfigError(f"{path}: line {reader.line_num}: negative p = {p!r}")
+                if key in rows:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: repeats step {step}, site ({i}, {j})"
+                    )
+                if abs(i) > step or abs(j) > step:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: site ({i}, {j}) "
+                        f"lies outside |i|, |j| <= step {step}"
+                    )
+                rows[key] = p
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    keys = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows)).reshape(-1, 3)
+    try:
+        keys = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows)).reshape(-1, 3)
+    except OverflowError:
+        raise ConfigError(f"{path}: a step does not fit in 64 bits") from None
     steps = np.unique(keys[:, 0])
     if not np.array_equal(steps, np.arange(len(steps))):
         raise ConfigError(f"{path}: steps are not contiguous from 0: {steps.tolist()}")
@@ -236,18 +259,11 @@ def write_variance_csv(variances, stderrs, path) -> None:
 # JSON result document
 # ---------------------------------------------------------------------------
 
-def _fit_to_dict(fit) -> dict:
-    if fit is None:
-        return None
-    if isinstance(fit, dict):
+def _fit_to_dict(fit) -> dict | None:
+    """A fit dataclass as a dict of its fields; None and error dicts pass through."""
+    if fit is None or isinstance(fit, dict):
         return fit
-    if isinstance(fit, ScalingFit):
-        return {"alpha": fit.alpha, "prefactor": fit.prefactor,
-                "n_lo": fit.n_lo, "n_hi": fit.n_hi, "r_squared": fit.r_squared}
-    if isinstance(fit, LocalizationFit):
-        return {"slope": fit.slope, "intercept": fit.intercept,
-                "d_lo": fit.d_lo, "d_hi": fit.d_hi, "r_squared": fit.r_squared}
-    raise TypeError(f"cannot serialize fit {fit!r}")
+    return asdict(fit)
 
 
 def build_result_document(*, engine: str, config: DisorderConfig | None,
@@ -285,11 +301,6 @@ def build_result_document(*, engine: str, config: DisorderConfig | None,
 
 def write_result_json(document: dict, path) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def read_result_json(path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
 
 
 # ---------------------------------------------------------------------------

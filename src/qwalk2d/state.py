@@ -3,11 +3,12 @@
 The walker lives on sites (i, j) and carries a polarization coin spanned by
 |H> and |V>.  Amplitudes are stored densely on the square |i|, |j| <=
 half_width.  A step moves the walker at most one site along each axis, so
-a state whose grid gains one empty ring (pad_ring) before every step after
-the first never reaches the boundary: the grid follows the light cone, with
-half width n after n steps, and the dynamics are those of the unbounded
-lattice.  All operations are pure: they return a new state and never mutate
-their input.
+a state that gains one empty ring (pad_ring) before every step never
+reaches the boundary.  Both engines start from the walker on its one site
+(half width 0) and share one light-cone loop (evolve._light_cone) that
+pads this way, so the grid has half width n after n steps and the dynamics
+are those of the unbounded lattice.  All operations are pure: they return
+a new state and never mutate their input.
 """
 
 from __future__ import annotations
@@ -45,14 +46,6 @@ class WalkState:
     def grid_size(self) -> int:
         return 2 * self.half_width + 1
 
-    def site_amplitudes(self, i: int, j: int) -> tuple[complex, complex]:
-        """(aH, aV) at site (i, j)."""
-        h = self.half_width
-        if abs(i) > h or abs(j) > h:
-            return 0j, 0j
-        return (complex(self.amps[i + h, j + h, COIN_H]),
-                complex(self.amps[i + h, j + h, COIN_V]))
-
     def probabilities(self) -> np.ndarray:
         """(L, L) grid of site probabilities p(i, j) = |aH|^2 + |aV|^2."""
         a = self.amps
@@ -66,12 +59,11 @@ class WalkState:
 def initial_state(half_width: int) -> WalkState:
     """Walker at the central site (0, 0) in the coin state (|H> + i|V>)/sqrt(2).
 
-    half_width fixes the grid size.  The first step fits on half_width 1;
-    each later step needs one more ring, from pad_ring or from a larger
-    half_width here.
+    half_width fixes the grid size; each step needs one more ring, from
+    pad_ring or from a larger half_width here.
     """
-    if half_width < 1:
-        raise ValueError(f"half_width must be >= 1, got {half_width!r}")
+    if half_width < 0:
+        raise ValueError(f"half_width must be >= 0, got {half_width!r}")
     size = 2 * half_width + 1
     amps = np.zeros((size, size, 2), dtype=np.complex128)
     amps[half_width, half_width, COIN_H] = _INV_SQRT2

@@ -116,8 +116,8 @@ def test_criterion_1_golden_first_step():
             (+1, -1): ((1 - 1j) * r8, 0j),
             (+1, +1): (0j, -(1 - 1j) * r8),
         }
-        for site, (ah, av) in expected.items():
-            got_h, got_v = state.site_amplitudes(*site)
+        for (i, j), (ah, av) in expected.items():
+            got_h, got_v = state.amps[i + 1, j + 1]
             assert abs(got_h - ah) <= 1e-12
             assert abs(got_v - av) <= 1e-12
         probs = np.abs(state.amps[..., 0]) ** 2 + np.abs(state.amps[..., 1]) ** 2
@@ -166,14 +166,14 @@ def test_criterion_5_monotone_in_zeta(ballistic, spatial_half_pi, spatial_pi):
 
 def test_criterion_6_anderson_localization(static_pi, ballistic):
     with criterion(6, "Anderson localization"):
-        final = static_pi.distribution_at(20)
+        final = static_pi.distributions()[20]
         cuts = axis_cuts(final)
         for profile in (cuts.along_x, cuts.along_y):
             fit = fit_localization(cuts.coords, profile, 2, 14)
             assert fit.slope < 0.0, f"slope = {fit.slope}"
             assert fit.r_squared >= 0.9, f"r^2 = {fit.r_squared}"
-        peak = final.prob(0, 0)
-        ballistic_center = ballistic.distribution_at(20).prob(0, 0)
+        peak = final.probs[20, 20]
+        ballistic_center = ballistic.mean_probabilities[20][20, 20]
         assert peak >= 5.0 * ballistic_center, f"{peak} vs {ballistic_center}"
 
 

@@ -103,7 +103,7 @@ class TestPhaseGeneration:
         for mode in DisorderMode:
             sampler = PhaseSampler(config(mode, 0.0), 0)
             pm = sampler.phases_for_step(1, 5)
-            assert pm.is_uniform
+            assert pm.half_width is None
             assert float(pm.values) == 0.0
 
     def test_none_mode_gives_zero_matrix_at_any_zeta(self):
@@ -113,7 +113,7 @@ class TestPhaseGeneration:
     def test_uniform_mode_same_phase_on_all_sites(self):
         sampler = PhaseSampler(config(DisorderMode.DYNAMICAL_UNIFORM, math.pi), 0)
         pm = sampler.phases_for_step(1, 5)
-        assert pm.is_uniform
+        assert pm.half_width is None
         grid = pm.values_for(5)
         assert np.ndim(grid) == 0
 

@@ -15,7 +15,6 @@ from qwalk2d.io import (
     parse_manifest_text,
     parse_zeta,
     read_distribution_csv,
-    read_result_json,
     render_heatmap_svg,
     write_distribution_csv,
     write_result_json,
@@ -107,9 +106,8 @@ class TestDistributionCsv:
         assert len(back) == 2
         for want, got in zip(dists, back):
             assert got.step == want.step
-            for i in range(-2, 3):
-                for j in range(-2, 3):
-                    assert got.prob(i, j) == want.prob(i, j)
+            # the reader sizes the grid to the data, here half width 1
+            np.testing.assert_array_equal(np.pad(got.probs, 2 - got.half_width), want.probs)
 
     def test_unnormalized_distribution_rejected(self, tmp_path):
         bad = make_dist({(0, 0): 0.5}, 1)
@@ -153,7 +151,7 @@ class TestResultJson:
                                     localization_x=None, localization_y=None)
         path = tmp_path / "r.json"
         write_result_json(doc, path)
-        assert read_result_json(path) == doc
+        assert json.loads(path.read_text()) == doc
 
     def test_stderr_null_when_unknown(self, tmp_path):
         doc = build_result_document(engine="exact", config=None,
@@ -202,7 +200,7 @@ class TestCliRun:
                      "--steps", "20", "--realizations", "500", "--seed", "424242",
                      "--threads", "2", "--out-dir", str(out)])
         assert code == 0
-        doc = read_result_json(out / "result.json")
+        doc = json.loads((out / "result.json").read_text())
         v20 = doc["variance_series"][20]["V"]
         assert 40.0 < v20 < 65.0
         dists = read_distribution_csv(out / "distributions.csv")
@@ -234,7 +232,7 @@ class TestCliRun:
         code = main(["run", "--config", str(cfg), "--zeta", "0",
                      "--threads", "1", "--out-dir", str(out)])
         assert code == 0
-        doc = read_result_json(out / "result.json")
+        doc = json.loads((out / "result.json").read_text())
         assert doc["config"]["zeta"] == 0.0
         assert doc["config"]["mode"] == "dynamical-spatial"
 
@@ -245,7 +243,7 @@ class TestCliOracle:
         code = main(["oracle", "--mode", "dynamical-spatial", "--zeta", "pi/2",
                      "--steps", "5", "--seed", "1", "--out-dir", str(out)])
         assert code == 0
-        doc = read_result_json(out / "result.json")
+        doc = json.loads((out / "result.json").read_text())
         assert doc["engine"] == "exact"
         assert doc["variance_series"][5]["stderr"] is None
 
@@ -266,8 +264,8 @@ class TestCliFit:
         refit = tmp_path / "refit.json"
         assert main(["fit", str(out / "distributions.csv"), "--fit-n-lo", "7",
                      "--out", str(refit)]) == 0
-        original = read_result_json(out / "result.json")
-        again = read_result_json(refit)
+        original = json.loads((out / "result.json").read_text())
+        again = json.loads(refit.read_text())
         assert again["engine"] == "refit"
         a = original["fits"]["scaling"]["alpha"]
         b = again["fits"]["scaling"]["alpha"]
@@ -282,7 +280,7 @@ class TestCliFit:
         assert main(["fit", str(out / "distributions.csv"),
                      "--manifest", str(out / "manifest.cfg"),
                      "--out", str(refit)]) == 0
-        doc = read_result_json(refit)
+        doc = json.loads(refit.read_text())
         assert doc["config"]["mode"] == "none"
         assert doc["config"]["seed"] == 6
 
@@ -302,7 +300,8 @@ class TestCliFitInput:
         assert "fit.n_lo" in capsys.readouterr().err
         assert not (run_dir / "fits.json").exists()
 
-    @pytest.mark.parametrize("row", ["0,0,0,x", "0,0,0", "0,a,0,1.0", "0,0,0,1.0,7"])
+    @pytest.mark.parametrize("row", ["0,0,0,x", "0,0,0", "0,a,0,1.0", "0,0,0,1.0,7",
+                                     "0,100000000,0,1.0", "0,99999999999999999999,0,1.0"])
     def test_malformed_row_is_config_error(self, tmp_path, capsys, row):
         path = tmp_path / "d.csv"
         path.write_text(f"step,i,j,p\n{row}\n")
@@ -313,7 +312,9 @@ class TestCliFitInput:
     @pytest.mark.parametrize("rows,reason", [
         ("0,0,0,2.0\n0,1,1,-1.0", "negative"),
         ("0,0,0,0.5\n0,0,0,1.0", "repeats step 0, site (0, 0)"),
-    ], ids=["negative-p", "repeated-row"])
+        ("0,0,0,1.0\n0,5,0,0.0", "site (5, 0) lies outside |i|, |j| <= step 0"),
+        ("0,0,0,2.0\n0,5,0,-1.0", "negative"),
+    ], ids=["negative-p", "repeated-row", "outside-light-cone", "negative-p-outside"])
     def test_invalid_row_is_config_error(self, tmp_path, capsys, rows, reason):
         # each file sums to 1 per step, so only the row check can catch it
         path = tmp_path / "d.csv"
@@ -321,6 +322,12 @@ class TestCliFitInput:
         assert main(["fit", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "line 3" in err and reason in err
+
+    def test_step_past_64_bits_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("step,i,j,p\n99999999999999999999,0,0,1.0\n")
+        assert main(["fit", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_probability_exits_4(self, run_dir, capsys, bad):
@@ -332,6 +339,34 @@ class TestCliFitInput:
         assert main(["fit", str(path)]) == 4
         assert f"step {step}" in capsys.readouterr().err
         assert not (run_dir / "fits.json").exists()
+
+
+class TestCliUndecodableFile:
+    """A byte that does not decode exits 2 and names the file."""
+
+    @pytest.fixture
+    def undecodable(self, tmp_path):
+        path = tmp_path / "bad"
+        path.write_bytes(b"mode = none\xff\n")
+        return path
+
+    def test_config_file(self, undecodable, tmp_path, capsys):
+        assert main(["run", "--config", str(undecodable), "--seed", "1",
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert str(undecodable) in capsys.readouterr().err
+
+    def test_fit_manifest(self, undecodable, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("step,i,j,p\n0,0,0,1.0\n")
+        assert main(["fit", str(csv_path), "--manifest", str(undecodable)]) == 2
+        assert str(undecodable) in capsys.readouterr().err
+        assert not (tmp_path / "fits.json").exists()
+
+    def test_distributions_csv(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"step,i,j,p\n0,0,0,1.0\xff\n")
+        assert main(["fit", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestCliExitCodes:

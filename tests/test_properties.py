@@ -1,10 +1,16 @@
-"""Property tests for the walk unitary that both engines share."""
+"""Property tests: the walk unitary that both engines share, the manifest
+text format, zeta parsing, and `qwalk2d fit` on arbitrary manifest text."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk2d import (
+    ConfigError,
+    DensityState,
     DisorderConfig,
     DisorderMode,
     PhaseMatrix,
@@ -12,9 +18,16 @@ from qwalk2d import (
     apply_coin,
     apply_shift_x,
     apply_shift_y,
-    density_from_state,
     exact_step_density,
     step,
+)
+from qwalk2d.cli import main
+from qwalk2d.io import (
+    RunManifest,
+    manifest_from_pairs,
+    manifest_to_text,
+    parse_manifest_text,
+    parse_zeta,
 )
 from conftest import random_state
 
@@ -29,8 +42,10 @@ class TestSharedUnitary:
         psi = random_state(np.random.default_rng(seed), half_width)
         cfg = DisorderConfig(DisorderMode.NONE, 0.0, steps=half_width, realizations=1,
                              master_seed=0)
-        got = exact_step_density(density_from_state(psi), cfg).rho
-        want = density_from_state(step(psi, PhaseMatrix(np.float64(0.0), None, 1))).rho
+        vec = psi.amps.reshape(-1)
+        got = exact_step_density(DensityState(np.outer(vec, vec.conj()), half_width), cfg).rho
+        out = step(psi, PhaseMatrix(np.float64(0.0), None, 1)).amps.reshape(-1)
+        want = np.outer(out, out.conj())
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @settings(deadline=None)
@@ -43,7 +58,9 @@ class TestSharedUnitary:
         assert abs(step(psi, phases).norm() - 1.0) <= 1e-12
         cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, np.pi, steps=half_width,
                              realizations=1, master_seed=0)
-        assert abs(exact_step_density(density_from_state(psi), cfg).trace() - 1.0) <= 1e-12
+        vec = psi.amps.reshape(-1)
+        rho = exact_step_density(DensityState(np.outer(vec, vec.conj()), half_width), cfg).rho
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
 
     @settings(deadline=None)
     @given(seed=seeds, half_width=half_widths, batch=st.integers(1, 3))
@@ -55,3 +72,100 @@ class TestSharedUnitary:
             stacked = op(stack).amps
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(stacked[b], op(state).amps)
+
+
+# a config value survives the format when it holds no '#' (a comment), no
+# line break and no surrounding whitespace
+values = st.text(st.characters(blacklist_characters="#",
+                               blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).map(str.strip)
+ints = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def manifests(draw):
+    return RunManifest(
+        schema_version=draw(ints),
+        mode=draw(st.none() | values),
+        zeta=draw(st.floats(allow_nan=False)),
+        steps=draw(ints),
+        realizations=draw(ints),
+        seed=draw(st.none() | ints),
+        engine=draw(values),
+        threads=draw(st.none() | ints),
+        out_dir=draw(values),
+        fit_n_lo=draw(ints),
+        fit_n_hi=draw(st.none() | ints),
+        fit_d_lo=draw(ints),
+        fit_d_hi=draw(st.none() | ints),
+    )
+
+
+class TestManifestText:
+    @given(manifest=manifests())
+    def test_round_trip(self, manifest):
+        text = manifest_to_text(manifest)
+        assert manifest_from_pairs(parse_manifest_text(text)) == manifest
+
+
+decimals = st.from_regex(r"[0-9]*\.?[0-9]+", fullmatch=True)
+spaces = st.sampled_from(["", " ", "  "])
+pi_words = st.sampled_from(["pi", "PI", "Pi"])
+# no digit, no whitespace and none of the letters of pi, nan, inf or the
+# exponent e, so no run of these characters is a number
+junk = st.text("bcdghjkmoqrsuvwxz!$%&*()[]{}<>?,;:'~|^+-/=", min_size=1)
+
+
+class TestParseZeta:
+    @given(k=st.none() | decimals, d=st.none() | decimals, pi=pi_words,
+           gap=spaces, lead=spaces, trail=spaces)
+    def test_pi_forms_match_the_float_formula(self, k, d, pi, gap, lead, trail):
+        text = lead + (k + gap if k else "") + pi + (f"{gap}/{gap}{d}" if d else "") + trail
+        coef = float(k) if k else 1.0
+        div = float(d) if d else 1.0
+        if div == 0.0:
+            with pytest.raises(ConfigError):
+                parse_zeta(text)
+        else:
+            assert parse_zeta(text) == coef * math.pi / div
+
+    @given(prefix=st.sampled_from(["", "pi", "2pi/3", "0.5"]), tail=junk)
+    def test_junk_rejected(self, prefix, tail):
+        with pytest.raises(ConfigError):
+            parse_zeta(prefix + tail)
+
+
+KEYS = ["schema", "mode", "zeta", "steps", "realizations", "seed", "engine", "threads",
+        "out_dir", "fit.n_lo", "fit.n_hi", "fit.d_lo", "fit.d_hi"]
+# known keys with arbitrary values reach the value parsers, and after a
+# valid mode and seed the fits too; one arbitrary line may follow, which
+# may hold lone surrogates (written as bytes that are not valid UTF-8)
+any_text = st.text(st.characters(blacklist_categories=()))
+config_lines = st.builds(
+    "{} = {}".format, st.sampled_from(KEYS),
+    st.one_of(st.integers(0, 20).map(str), st.text(), st.integers().map(str),
+              st.floats().map(repr), st.sampled_from(["none", "dynamical-spatial", "pi/2"])),
+)
+config_texts = st.builds(
+    lambda valid, lines, extra: "\n".join(
+        (["mode = none", "seed = 1"] if valid else []) + lines + ([extra] if extra else [])),
+    st.booleans(), st.lists(config_lines, max_size=6), st.none() | any_text,
+)
+
+
+class TestFitManifestText:
+    @pytest.fixture(scope="class")
+    def fit_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fit")
+        assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "4",
+                     "--realizations", "1", "--seed", "6", "--threads", "1",
+                     "--out-dir", str(out)]) == 0
+        return out
+
+    @settings(deadline=None)
+    @given(text=config_texts)
+    def test_any_manifest_text_exits_0_2_or_3(self, fit_dir, text):
+        manifest = fit_dir / "any.cfg"
+        manifest.write_bytes(text.encode("utf-8", "surrogatepass"))
+        code = main(["fit", str(fit_dir / "distributions.csv"), "--manifest", str(manifest),
+                     "--out", str(fit_dir / "fits.json")])
+        assert code in (0, 2, 3)

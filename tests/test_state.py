@@ -35,7 +35,7 @@ class TestInitialState:
         assert s.step_count == 0
 
     def test_coin_amplitudes(self):
-        ah, av = initial_state(2).site_amplitudes(0, 0)
+        ah, av = initial_state(2).amps[2, 2]
         assert ah == pytest.approx(INV_SQRT2, abs=1e-15)
         assert av == pytest.approx(1j * INV_SQRT2, abs=1e-15)
         # aV = i * aH
@@ -48,7 +48,7 @@ class TestInitialState:
 class TestCoin:
     def test_pure_h_input(self):
         out = apply_coin(single_site_state(0, 0, 1.0, 0.0))
-        ah, av = out.site_amplitudes(0, 0)
+        ah, av = out.amps[3, 3]
         assert ah == pytest.approx(INV_SQRT2, abs=1e-15)
         assert av == pytest.approx(INV_SQRT2, abs=1e-15)
 
@@ -59,7 +59,7 @@ class TestCoin:
 
     def test_initial_coin_state_mixes_to_known_pair(self):
         out = apply_coin(single_site_state(0, 0, INV_SQRT2, 1j * INV_SQRT2))
-        ah, av = out.site_amplitudes(0, 0)
+        ah, av = out.amps[3, 3]
         assert ah == pytest.approx((1 + 1j) / 2, abs=1e-15)
         assert av == pytest.approx((1 - 1j) / 2, abs=1e-15)
 
@@ -71,20 +71,20 @@ class TestCoin:
 class TestShifts:
     def test_h_moves_left_in_x(self):
         out = apply_shift_x(single_site_state(0, 0, 1.0, 0.0))
-        assert out.site_amplitudes(-1, 0)[0] == pytest.approx(1.0)
+        assert out.amps[2, 3, COIN_H] == pytest.approx(1.0)
         assert out.probabilities()[2, 3] == pytest.approx(1.0)
 
     def test_v_moves_right_in_x(self):
         out = apply_shift_x(single_site_state(0, 0, 0.0, 1.0))
-        assert out.site_amplitudes(1, 0)[1] == pytest.approx(1.0)
+        assert out.amps[4, 3, COIN_V] == pytest.approx(1.0)
 
     def test_h_moves_down_in_y(self):
         out = apply_shift_y(single_site_state(0, 0, 1.0, 0.0))
-        assert out.site_amplitudes(0, -1)[0] == pytest.approx(1.0)
+        assert out.amps[3, 2, COIN_H] == pytest.approx(1.0)
 
     def test_v_moves_up_in_y(self):
         out = apply_shift_y(single_site_state(0, 0, 0.0, 1.0))
-        assert out.site_amplitudes(0, 1)[1] == pytest.approx(1.0)
+        assert out.amps[3, 4, COIN_V] == pytest.approx(1.0)
 
     def test_superposition_norm_preserved(self, rng):
         s = random_state(rng)
@@ -118,7 +118,7 @@ class TestDephasing:
         s = single_site_state(1, -1, a, b)
         size = s.grid_size
         phases = PhaseMatrix(np.full((size, size), np.pi), s.half_width, step=1)
-        ah, av = apply_dephasing(s, phases).site_amplitudes(1, -1)
+        ah, av = apply_dephasing(s, phases).amps[1 + 3, -1 + 3]
         assert ah == pytest.approx(-1j * a, abs=1e-15)
         assert av == pytest.approx(1j * b, abs=1e-15)
 
