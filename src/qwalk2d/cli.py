@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: `run` simulates an ensemble and analyzes it, `oracle` runs the
-exact averaged-channel evolver on a small lattice, `fit` re-analyzes stored
-distribution CSVs without re-simulating.  Exit codes: 0 success, 2 bad
-configuration, 3 I/O failure, 4 violated numerical invariant.
+Subcommands: `run` simulates an ensemble with the trajectory engine and
+analyzes it, `oracle` runs the exact averaged-channel evolver on a small
+lattice, `fit` re-analyzes stored distribution CSVs without re-simulating.
+The subcommand picks the engine; each other RunManifest setting has a flag
+named after its config key (`fit.n_lo` is `--fit-n-lo`; `fit` takes only the
+`fit.*` ones).  Exit codes: 0 success, 2 bad configuration (a malformed
+file line, schema not 1, engine neither trajectory nor exact), 3 I/O
+failure, 4 violated numerical invariant.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +55,15 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
-# flags that map one-for-one onto config file keys
-_OVERRIDE_FLAGS = [
-    ("--mode", "mode", "disorder mode: none, dynamical-spatial, static-spatial, dynamical-uniform"),
-    ("--zeta", "zeta", "phase bound in radians; accepts pi expressions like pi/2"),
-    ("--steps", "steps", "number of walk steps N"),
-    ("--realizations", "realizations", "ensemble size R"),
-    ("--seed", "seed", "64-bit master seed (required, never defaulted)"),
-    ("--engine", "engine", "trajectory or exact"),
-    ("--threads", "threads", "worker count; 1 is the serial reference path"),
-    ("--out-dir", "out_dir", "artifact directory"),
-    ("--fit-n-lo", "fit.n_lo", "scaling fit window start (step index)"),
-    ("--fit-n-hi", "fit.n_hi", "scaling fit window end (default: steps)"),
-    ("--fit-d-lo", "fit.d_lo", "localization fit window start (|coordinate|)"),
-    ("--fit-d-hi", "fit.d_hi", "localization fit window end (default: steps - 6)"),
-]
+
+def _add_setting_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
+    """A flag for each RunManifest setting that has flag help and a key
+    starting with prefix: the key with '.' and '_' turned into '-'."""
+    for setting in fields(RunManifest):
+        key, help_text = setting.metadata["key"], setting.metadata["help"]
+        if help_text and key.startswith(prefix):
+            parser.add_argument("--" + key.replace(".", "-").replace("_", "-"),
+                                dest=setting.name, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,22 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_p = sub.add_parser("oracle", help="run the exact averaged-channel evolver")
     for p in (run_p, oracle_p):
         p.add_argument("--config", help="config file of key = value lines")
-        for flag, _key, help_text in _OVERRIDE_FLAGS:
-            if p is oracle_p and flag == "--engine":
-                continue
-            p.add_argument(flag, help=help_text)
+        _add_setting_flags(p)
         p.add_argument("--log-heatmap", action="store_true",
                        help="use a log color scale in the heatmap")
-    run_p.set_defaults(handler=_cmd_run, force_engine=None)
-    oracle_p.set_defaults(handler=_cmd_run, force_engine="exact")
+    run_p.set_defaults(handler=_cmd_run, engine="trajectory")
+    oracle_p.set_defaults(handler=_cmd_run, engine="exact")
 
     fit_p = sub.add_parser("fit", help="re-analyze a stored distribution CSV")
     fit_p.add_argument("distributions", help="distributions.csv produced by a run")
     fit_p.add_argument("--manifest", help="manifest file to echo the config from")
     fit_p.add_argument("--out", help="output JSON path (default: fits.json next to the input)")
-    for flag, _key, help_text in _OVERRIDE_FLAGS:
-        if flag.startswith("--fit-"):
-            fit_p.add_argument(flag, help=help_text)
+    _add_setting_flags(fit_p, "fit.")
     fit_p.set_defaults(handler=_cmd_fit)
     return parser
 
@@ -101,21 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_pairs(args) -> dict[str, str]:
     """Config keys set on the command line; flags a subcommand lacks are skipped."""
     pairs: dict[str, str] = {}
-    for flag, key, _help in _OVERRIDE_FLAGS:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None:
-            pairs[key] = value
+    for setting in fields(RunManifest):
+        value = getattr(args, setting.name, None)
+        if setting.metadata["help"] and value is not None:
+            pairs[setting.metadata["key"]] = value
     return pairs
-
-
-def _resolve_manifest(args, force_engine: str | None) -> RunManifest:
-    pairs: dict[str, str] = {}
-    if args.config:
-        pairs.update(read_manifest_pairs(args.config))
-    pairs.update(_flag_pairs(args))
-    if force_engine is not None:
-        pairs["engine"] = force_engine
-    return manifest_from_pairs(pairs)
 
 
 def _compute_fits(variances, final_dist, manifest: RunManifest):
@@ -135,10 +119,10 @@ def _compute_fits(variances, final_dist, manifest: RunManifest):
 
 
 def _cmd_run(args) -> int:
-    manifest = _resolve_manifest(args, args.force_engine)
+    pairs = read_manifest_pairs(args.config) if args.config else {}
+    manifest = manifest_from_pairs({**pairs, **_flag_pairs(args)})
+    manifest.engine = args.engine  # the subcommand picks it; a file's engine is only checked
     config = manifest.disorder_config()
-    if manifest.engine not in ("trajectory", "exact"):
-        raise ConfigError(f"unknown engine {manifest.engine!r}")
     threads = manifest.threads if manifest.threads is not None else (os.cpu_count() or 1)
     if manifest.engine == "trajectory":
         result = run_ensemble(config, threads=threads)
@@ -178,11 +162,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_fit(args) -> int:
     dists = read_distribution_csv(args.distributions)
-    pairs: dict[str, str] = {}
-    config = None
-    if args.manifest:
-        pairs = read_manifest_pairs(args.manifest)
-        config = manifest_from_pairs(pairs).disorder_config()
+    pairs = read_manifest_pairs(args.manifest) if args.manifest else {}
+    config = manifest_from_pairs(pairs).disorder_config() if args.manifest else None
     # the fit windows default from the stored steps, not the manifest's
     manifest = manifest_from_pairs({**pairs, "steps": str(len(dists) - 1),
                                     **_flag_pairs(args)})

@@ -75,9 +75,9 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
                  traj_start: int = 0, traj_stop: int | None = None) -> EnsembleResult:
     """Average trajectories traj_start..traj_stop-1 (default 0..R-1).
 
-    threads = 1 runs serially in-process (the reference path); larger
-    values fan chunks out to worker processes.  Either way the reduction
-    order is fixed, so the stored numbers are identical.
+    Chunks fan out to min(threads, chunks) worker processes; one worker
+    runs serially in-process (the reference path).  Either way the
+    reduction order is fixed, so the stored numbers are identical.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -91,10 +91,11 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     t0 = time.perf_counter()
     chunk_args = [(config, a, min(a + CHUNK_SIZE, stop))
                   for a in range(traj_start, stop, CHUNK_SIZE)]
-    if threads == 1:
+    workers = min(threads, len(chunk_args))
+    if workers == 1:
         chunk_results = [_run_chunk(args) for args in chunk_args]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(_run_chunk, chunk_args))
     prob_sum = None
     var_blocks = []

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -45,28 +45,51 @@ def parse_zeta(text: str) -> float:
         raise ConfigError(f"cannot parse zeta value {text!r}") from None
 
 
+def _setting(key: str, parse, default=None, flag_help: str | None = None):
+    """A RunManifest field: its config-file key, the parser of its value,
+    and the help of the command-line flag that sets it (None: no flag)."""
+    return field(default=default, metadata={"key": key, "parse": parse, "help": flag_help})
+
+
+def _parse_schema(text: str) -> int:
+    if int(text) != MANIFEST_SCHEMA_VERSION:
+        raise ConfigError(f"schema must be {MANIFEST_SCHEMA_VERSION}, got {text!r}")
+    return MANIFEST_SCHEMA_VERSION
+
+
+def _parse_engine(text: str) -> str:
+    if text not in ("trajectory", "exact"):
+        raise ConfigError(f"unknown engine {text!r}")
+    return text
+
+
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce a run.
+    """Everything needed to reproduce a run.  Each setting is declared once,
+    here; the config parser, manifest_to_text and the CLI flags derive from it.
 
     mode and seed carry no default on purpose; a run must state them
     explicitly.  fit_n_hi and fit_d_hi default to steps and steps - 6 when
-    left unset.
+    left unset.  engine and schema have no flag: the subcommand sets engine.
     """
 
-    schema_version: int = MANIFEST_SCHEMA_VERSION
-    mode: str | None = None
-    zeta: float = math.pi
-    steps: int = 20
-    realizations: int = 500
-    seed: int | None = None
-    engine: str = "trajectory"
-    threads: int | None = None
-    out_dir: str = "qwalk2d-out"
-    fit_n_lo: int = 10
-    fit_n_hi: int | None = None
-    fit_d_lo: int = 2
-    fit_d_hi: int | None = None
+    schema_version: int = _setting("schema", _parse_schema, MANIFEST_SCHEMA_VERSION)
+    mode: str | None = _setting(
+        "mode", str, None, "disorder mode: none, dynamical-spatial, static-spatial, dynamical-uniform")
+    zeta: float = _setting(
+        "zeta", parse_zeta, math.pi, "phase bound in radians; accepts pi expressions like pi/2")
+    steps: int = _setting("steps", int, 20, "number of walk steps N")
+    realizations: int = _setting("realizations", int, 500, "ensemble size R")
+    seed: int | None = _setting("seed", int, None, "64-bit master seed (required, never defaulted)")
+    engine: str = _setting("engine", _parse_engine, "trajectory")
+    threads: int | None = _setting(
+        "threads", int, None, "worker count; 1 is the serial reference path")
+    out_dir: str = _setting("out_dir", str, "qwalk2d-out", "artifact directory")
+    fit_n_lo: int = _setting("fit.n_lo", int, 10, "scaling fit window start (step index)")
+    fit_n_hi: int | None = _setting("fit.n_hi", int, None, "scaling fit window end (default: steps)")
+    fit_d_lo: int = _setting("fit.d_lo", int, 2, "localization fit window start (|coordinate|)")
+    fit_d_hi: int | None = _setting(
+        "fit.d_hi", int, None, "localization fit window end (default: steps - 6)")
 
     def disorder_config(self) -> DisorderConfig:
         if self.mode is None:
@@ -86,23 +109,8 @@ class RunManifest:
         return self.fit_n_lo, n_hi, self.fit_d_lo, d_hi
 
 
-# manifest file key -> (dataclass field, parser)
-_MANIFEST_KEYS = {
-    "schema": ("schema_version", int),
-    "mode": ("mode", str),
-    "zeta": ("zeta", parse_zeta),
-    "steps": ("steps", int),
-    "realizations": ("realizations", int),
-    "seed": ("seed", int),
-    "engine": ("engine", str),
-    "threads": ("threads", int),
-    "out_dir": ("out_dir", str),
-    "fit.n_lo": ("fit_n_lo", int),
-    "fit.n_hi": ("fit_n_hi", int),
-    "fit.d_lo": ("fit_d_lo", int),
-    "fit.d_hi": ("fit_d_hi", int),
-}
-_FIELD_TO_KEY = {field: key for key, (field, _) in _MANIFEST_KEYS.items()}
+# config-file key -> RunManifest field
+_SETTINGS = {f.metadata["key"]: f for f in fields(RunManifest)}
 
 
 def parse_manifest_text(text: str) -> dict[str, str]:
@@ -115,7 +123,7 @@ def parse_manifest_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _MANIFEST_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         pairs[key] = value
     return pairs
@@ -124,11 +132,11 @@ def parse_manifest_text(text: str) -> dict[str, str]:
 def manifest_from_pairs(pairs: dict[str, str]) -> RunManifest:
     manifest = RunManifest()
     for key, raw in pairs.items():
-        if key not in _MANIFEST_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        field_name, parser = _MANIFEST_KEYS[key]
+        setting = _SETTINGS[key]
         try:
-            setattr(manifest, field_name, parser(raw))
+            setattr(manifest, setting.name, setting.metadata["parse"](raw))
         except ConfigError:
             raise
         except ValueError:
@@ -139,22 +147,23 @@ def manifest_from_pairs(pairs: dict[str, str]) -> RunManifest:
 def manifest_to_text(manifest: RunManifest) -> str:
     """Render a manifest in the config file format (lossless round-trip)."""
     lines = []
-    for field in fields(RunManifest):
-        value = getattr(manifest, field.name)
+    for setting in fields(RunManifest):
+        value = getattr(manifest, setting.name)
         if value is None:
             continue
         rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{_FIELD_TO_KEY[field.name]} = {rendered}")
+        lines.append(f"{setting.metadata['key']} = {rendered}")
     return "\n".join(lines) + "\n"
 
 
 def read_manifest_pairs(path) -> dict[str, str]:
     """The `key = value` pairs of a config file (see parse_manifest_text)."""
     try:
-        text = Path(path).read_text()
+        return parse_manifest_text(Path(path).read_text())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    return parse_manifest_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def read_manifest(path) -> RunManifest:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qwalk2d.ensemble as ensemble
 from qwalk2d import (
     ConfigError,
     DisorderConfig,
@@ -105,6 +106,33 @@ class TestParallelDeterminism:
                                           base.variance_stderr)
             np.testing.assert_array_equal(other.per_trajectory_variances,
                                           base.per_trajectory_variances)
+
+    @pytest.mark.parametrize("realizations,pools", [(64, [2]), (32, [])],
+                             ids=["two-chunks", "one-chunk"])
+    def test_worker_count_follows_the_chunks(self, monkeypatch, realizations, pools):
+        made = []
+
+        class InProcessPool:
+            """Records the pool size it is asked for and maps in-process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+        cfg = config(steps=4, realizations=realizations)
+        result = run_ensemble(cfg, threads=1000)
+        assert made == pools
+        np.testing.assert_array_equal(result.mean_probabilities,
+                                      run_ensemble(cfg, threads=1).mean_probabilities)
 
 
 class TestStatisticalSanity:

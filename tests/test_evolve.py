@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qwalk2d import (
@@ -152,10 +154,24 @@ class TestRunTrajectory:
         for n, state in enumerate(walk_states(cfg, 3)):
             np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
 
-    def test_support_and_parity_all_steps(self):
-        traj = run_trajectory(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 12, seed=8), 0)
-        for n in range(13):
-            assert_support_ok(traj.probabilities[n], traj.half_width, n)
+    @settings(deadline=None)
+    @given(engine_mode=st.sampled_from([("trajectory", mode) for mode in DisorderMode]
+                                       + [("exact", mode) for mode in DisorderMode
+                                          if mode is not DisorderMode.STATIC_SPATIAL]),
+           zeta=st.floats(0.0, math.pi), steps=st.integers(1, 10),
+           seed=st.integers(0, 2**64 - 1), index=st.integers(0, 99))
+    @example(engine_mode=("trajectory", DisorderMode.DYNAMICAL_SPATIAL), zeta=math.pi,
+             steps=12, seed=8, index=0)
+    def test_support_and_parity_all_steps(self, engine_mode, zeta, steps, seed, index):
+        # off the i = j = n (mod 2) sublattice every probability is exactly 0.0
+        engine, mode = engine_mode
+        cfg = config(mode, zeta, steps, realizations=100, seed=seed)
+        run = run_trajectory(cfg, index) if engine == "trajectory" else exact_run(cfg)
+        coords = np.arange(-steps, steps + 1)
+        for n, probs in enumerate(run.probabilities):
+            odd = (coords - n) % 2 != 0
+            assert np.all(probs[odd[:, None] | odd[None, :]] == 0.0)
+            assert_support_ok(probs, steps, n)
 
 
 class TestDampingFactors:

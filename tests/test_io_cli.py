@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qwalk2d.io import (
     parse_manifest_text,
     parse_zeta,
     read_distribution_csv,
+    read_manifest,
     render_heatmap_svg,
     write_distribution_csv,
     write_result_json,
@@ -369,6 +372,71 @@ class TestCliUndecodableFile:
         assert str(path) in capsys.readouterr().err
 
 
+class TestCliBadFileLine:
+    """A line that is not `key = value` exits 2 and names the file and line."""
+
+    @pytest.fixture
+    def junk(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("mode = none\njunk\n")
+        return path
+
+    def test_config_file(self, junk, tmp_path, capsys):
+        assert main(["run", "--config", str(junk), "--seed", "1",
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"error: {junk}: config line 2: expected 'key = value', got 'junk'" \
+            in capsys.readouterr().err
+
+    def test_fit_manifest(self, junk, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("step,i,j,p\n0,0,0,1.0\n")
+        assert main(["fit", str(csv_path), "--manifest", str(junk)]) == 2
+        assert f"error: {junk}: config line 2:" in capsys.readouterr().err
+        assert not (tmp_path / "fits.json").exists()
+
+
+class TestCliSettings:
+    """Each RunManifest setting with a flag: --fit-n-lo sets fit.n_lo."""
+
+    VALUES = {"mode": "dynamical-uniform", "zeta": "pi/2", "steps": "5",
+              "realizations": "3", "seed": "8", "threads": "2", "out_dir": "moved",
+              "fit.n_lo": "2", "fit.n_hi": "4", "fit.d_lo": "1", "fit.d_hi": "3"}
+    BASE = {"mode": "none", "zeta": "0", "steps": "4", "realizations": "1", "seed": "3",
+            "threads": "1", "out_dir": "out"}
+
+    @pytest.mark.parametrize("key", [s.metadata["key"] for s in fields(RunManifest)
+                                     if s.metadata["help"]])
+    def test_flag_and_config_line_set_the_same_field(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        base = {k: v for k, v in self.BASE.items() if k != key}
+        out = Path(self.VALUES[key] if key == "out_dir" else base["out_dir"])
+        written = []
+        for line, flag in (([f"{key} = {self.VALUES[key]}"], []),
+                           ([], [f"--{key.replace('.', '-').replace('_', '-')}",
+                                 self.VALUES[key]])):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("\n".join([f"{k} = {v}" for k, v in base.items()] + line) + "\n")
+            assert main(["run", "--config", str(cfg), *flag]) == 0
+            written.append(read_manifest(out / "manifest.cfg"))
+        assert written[0] == written[1]
+        name = key.replace(".", "_")
+        unset = manifest_from_pairs(base)
+        assert getattr(written[0], name) != getattr(unset, name)
+        assert replace(unset, **{name: getattr(written[0], name)}) == written[0]
+
+    @pytest.mark.parametrize("command,cfg_engine,engine",
+                             [("run", "exact", "trajectory"), ("oracle", "trajectory", "exact")])
+    def test_subcommand_sets_the_engine(self, tmp_path, command, cfg_engine, engine):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"engine = {cfg_engine}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--mode", "none", "--zeta", "0",
+                     "--steps", "3", "--realizations", "1", "--seed", "1",
+                     "--threads", "1", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["engine"] == engine
+        assert f"engine = {engine}\n" in (out / "manifest.cfg").read_text()
+
+
 class TestCliExitCodes:
     def test_zeta_out_of_range_is_config_error(self, tmp_path, capsys):
         code = main(["run", "--mode", "none", "--zeta", "4.0", "--steps", "5",
@@ -397,11 +465,23 @@ class TestCliExitCodes:
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
 
-    def test_unknown_engine_is_config_error(self, tmp_path):
-        code = main(["run", "--mode", "none", "--zeta", "0", "--steps", "3",
-                     "--seed", "1", "--engine", "warp",
-                     "--out-dir", str(tmp_path / "x")])
+    def test_unknown_engine_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("engine = warp\n")
+        code = main(["run", "--config", str(cfg), "--mode", "none", "--zeta", "0",
+                     "--steps", "3", "--seed", "1", "--out-dir", str(tmp_path / "x")])
         assert code == 2
+        assert "engine 'warp'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_other_schema_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schema = 2\n")
+        code = main([command, "--config", str(cfg), "--mode", "none", "--zeta", "0",
+                     "--steps", "3", "--seed", "1", "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "schema must be 1, got '2'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_invariant_violation_exits_4(self, tmp_path, capsys, monkeypatch):
         import qwalk2d.cli as cli_mod

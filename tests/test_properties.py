@@ -84,13 +84,13 @@ ints = st.integers(-2**70, 2**70)
 @st.composite
 def manifests(draw):
     return RunManifest(
-        schema_version=draw(ints),
+        schema_version=1,
         mode=draw(st.none() | values),
         zeta=draw(st.floats(allow_nan=False)),
         steps=draw(ints),
         realizations=draw(ints),
         seed=draw(st.none() | ints),
-        engine=draw(values),
+        engine=draw(st.sampled_from(["trajectory", "exact"])),
         threads=draw(st.none() | ints),
         out_dir=draw(values),
         fit_n_lo=draw(ints),
