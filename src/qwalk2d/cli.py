@@ -6,8 +6,8 @@ lattice, `fit` re-analyzes stored distribution CSVs without re-simulating.
 The subcommand picks the engine; each other RunManifest setting has a flag
 named after its config key (`fit.n_lo` is `--fit-n-lo`; `fit` takes only the
 `fit.*` ones).  Exit codes: 0 success, 2 bad configuration (a malformed
-file line, schema not 1, engine neither trajectory nor exact), 3 I/O
-failure, 4 violated numerical invariant.
+file line or value, schema not 1, engine neither trajectory nor exact), 3
+I/O failure, 4 violated numerical invariant.
 """
 
 from __future__ import annotations

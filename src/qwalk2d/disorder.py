@@ -49,8 +49,10 @@ class DisorderConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not isinstance(self.mode, DisorderMode):
+        try:
             object.__setattr__(self, "mode", DisorderMode(self.mode))
+        except ValueError:
+            raise ConfigError(f"unknown mode {self.mode!r}") from None
         for name in ("steps", "realizations", "master_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -69,33 +71,12 @@ class DisorderConfig:
 class PhaseMatrix:
     """Phases phi(i, j) for one step of one realization.
 
-    values is either a (L, L) array over the square |i|, |j| <= half_width
-    (entry [i + half_width, j + half_width]) or a 0-d scalar when the same
-    phase applies to every site (uniform dephasing, or no disorder at all).
-    A scalar matrix covers any support, so half_width is None for it.
+    values is either a (L, L) array over a centred window |i|, |j| <= h
+    (entry [i + h, j + h], L = 2h + 1) or a 0-d scalar when the same phase
+    applies to every site (uniform dephasing, or no disorder at all).
     """
 
     values: np.ndarray
-    half_width: int | None
-    step: int
-
-    def values_for(self, half_width: int) -> np.ndarray:
-        """Return phases aligned to a grid of the given half width.
-
-        Raises PhaseCoverageError when the stored grid is too small: an
-        occupied site without a phase is a disorder-generation bug, never
-        something to paper over with a default.
-        """
-        if self.half_width is None:
-            return self.values
-        if self.half_width < half_width:
-            raise PhaseCoverageError(
-                f"phase matrix covers |i|,|j| <= {self.half_width} "
-                f"but the state needs |i|,|j| <= {half_width}"
-            )
-        off = self.half_width - half_width
-        size = 2 * half_width + 1
-        return self.values[off:off + size, off:off + size]
 
 
 def derive_trajectory_seed(master_seed: int, trajectory_index: int) -> int:
@@ -123,39 +104,38 @@ class PhaseSampler:
     """Phase stream for a single disorder realization.
 
     One sampler per trajectory; samplers are never shared between threads.
-    Grids are always drawn whole (every site of the bounded lattice, in a
-    fixed row-major order), so the phases a state actually sees cannot
-    depend on the order its sites became occupied.
+    Spatial grids are always drawn on the whole lattice |i|, |j| <= steps,
+    in a fixed row-major order, and each step is handed the centred window
+    it asks for.  So a site's phase depends only on the config, the
+    trajectory, the step and the site, never on the window.
     """
 
     def __init__(self, config: DisorderConfig, trajectory_index: int):
         self.config = config
         self.rng = trajectory_rng(config.master_seed, trajectory_index)
-        self._static: PhaseMatrix | None = None
+        self._grid: np.ndarray | None = None
 
     def phases_for_step(self, step: int, half_width: int) -> PhaseMatrix:
-        """Phase matrix applied at the end of the given step.
+        """Phases applied at the end of the given step on |i|, |j| <= half_width.
 
-        half_width must be at least the half width of the state's support
-        after the step's shifts.
+        Raises PhaseCoverageError for a window wider than the lattice.  For
+        the whole lattice the values are the drawn grid itself; static
+        spatial disorder draws its grid at the first request and hands the
+        same object to every later step.
         """
         cfg = self.config
         zeta = cfg.zeta
         if cfg.mode is DisorderMode.NONE or zeta == 0.0:
-            return PhaseMatrix(np.float64(0.0), None, step)
+            return PhaseMatrix(np.float64(0.0))
         if cfg.mode is DisorderMode.DYNAMICAL_UNIFORM:
-            return PhaseMatrix(np.float64(self.rng.uniform(-zeta, zeta)), None, step)
-        size = 2 * half_width + 1
-        if cfg.mode is DisorderMode.DYNAMICAL_SPATIAL:
-            return PhaseMatrix(self.rng.uniform(-zeta, zeta, size=(size, size)), half_width, step)
-        # static spatial: one grid per realization, drawn on first request
-        # and reused bit-for-bit at every later step
-        if self._static is None:
-            values = self.rng.uniform(-zeta, zeta, size=(size, size))
-            self._static = PhaseMatrix(values, half_width, step)
-        elif self._static.half_width < half_width:
+            return PhaseMatrix(np.float64(self.rng.uniform(-zeta, zeta)))
+        if half_width > cfg.steps:
             raise PhaseCoverageError(
-                f"static phases were drawn for |i|,|j| <= {self._static.half_width}; "
-                f"cannot extend to {half_width} without re-consuming randomness"
+                f"step {step} asks for phases on |i|,|j| <= {half_width}, "
+                f"but the lattice ends at {cfg.steps}"
             )
-        return PhaseMatrix(self._static.values, self._static.half_width, step)
+        if self._grid is None or cfg.mode is DisorderMode.DYNAMICAL_SPATIAL:
+            size = 2 * cfg.steps + 1
+            self._grid = self.rng.uniform(-zeta, zeta, size=(size, size))
+        off = cfg.steps - half_width
+        return PhaseMatrix(self._grid[off:-off, off:-off] if off else self._grid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import Distribution2D, variance_series
 from .disorder import DisorderConfig
-from .errors import ConfigError, TrajectoryFailure, check_unit_total
+from .errors import ConfigError, InvariantViolationError, TrajectoryFailure, check_unit_total
 from .evolve import run_trajectory
 
 # trajectories per reduction chunk; fixed so that the summation order is
@@ -61,6 +61,8 @@ def _run_chunk(args) -> tuple[int, np.ndarray, np.ndarray]:
     for k in range(start, stop):
         try:
             traj = run_trajectory(config, k)
+        except InvariantViolationError:
+            raise  # its message already names the trajectory and the step
         except Exception as exc:
             raise TrajectoryFailure(f"trajectory {k} failed: {exc}") from exc
         if prob_sum is None:

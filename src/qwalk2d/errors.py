@@ -25,7 +25,7 @@ class LatticeOverflowError(QwalkError, RuntimeError):
 
 
 class PhaseCoverageError(QwalkError, RuntimeError):
-    """A phase matrix does not cover the occupied sites of a state."""
+    """Phases do not match a state's grid, or a window is wider than the lattice."""
 
 
 class InvariantViolationError(QwalkError, RuntimeError):

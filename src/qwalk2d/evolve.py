@@ -97,14 +97,13 @@ def _light_cone(state, n_steps: int, pad, advance, site_probabilities,
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
     """Run one realization for config.steps steps.
 
-    The state grows with the light cone (see the module docstring), while
-    the phases are drawn on the whole half-width config.steps grid, so the
-    random stream is that of a walk on the full lattice.
+    The state grows with the light cone (see the module docstring), and
+    step n takes the phases of its window |i|, |j| <= n from the sampler.
     """
     n_steps = config.steps
     sampler = PhaseSampler(config, trajectory_index)
     probs = _light_cone(initial_state(0), n_steps, pad_ring,
-                        lambda state, n: step(state, sampler.phases_for_step(n, n_steps)),
+                        lambda state, n: step(state, sampler.phases_for_step(n, n)),
                         WalkState.probabilities, f"trajectory {trajectory_index}: norm")
     return TrajectoryResult(probs, n_steps)
 

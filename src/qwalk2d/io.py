@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import Distribution2D
-from .disorder import DisorderConfig, DisorderMode
+from .disorder import DisorderConfig
 from .errors import ConfigError, InvariantViolationError, check_unit_total
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -96,11 +96,7 @@ class RunManifest:
             raise ConfigError("mode is required (none, dynamical-spatial, static-spatial, dynamical-uniform)")
         if self.seed is None:
             raise ConfigError("seed is required; entropy is never pulled silently")
-        try:
-            mode = DisorderMode(self.mode)
-        except ValueError:
-            raise ConfigError(f"unknown mode {self.mode!r}") from None
-        return DisorderConfig(mode=mode, zeta=self.zeta, steps=self.steps,
+        return DisorderConfig(mode=self.mode, zeta=self.zeta, steps=self.steps,
                               realizations=self.realizations, master_seed=self.seed)
 
     def resolved_fit_windows(self) -> tuple[int, int, int, int]:
@@ -157,9 +153,13 @@ def manifest_to_text(manifest: RunManifest) -> str:
 
 
 def read_manifest_pairs(path) -> dict[str, str]:
-    """The `key = value` pairs of a config file (see parse_manifest_text)."""
+    """The `key = value` pairs of a config file (see parse_manifest_text).
+    Each value is parsed here, so a bad one is an error naming the file
+    even when a flag would override it."""
     try:
-        return parse_manifest_text(Path(path).read_text())
+        pairs = parse_manifest_text(Path(path).read_text())
+        manifest_from_pairs(pairs)
+        return pairs
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     except ConfigError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import PhaseMatrix
-from .errors import LatticeOverflowError
+from .errors import LatticeOverflowError, PhaseCoverageError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -121,15 +121,20 @@ def apply_dephasing(state: WalkState, phases: PhaseMatrix) -> WalkState:
     """Per-site coin phase kick: aH -> e^{-i phi/2} aH, aV -> e^{+i phi/2} aV.
 
     The relative H-V phase at site (i, j) changes by exactly phi(i, j);
-    site probabilities are untouched.  Raises PhaseCoverageError if the
-    matrix does not cover the state's grid.
+    site probabilities are untouched.  Raises PhaseCoverageError unless the
+    phases are a scalar or a grid of exactly the state's (L, L) shape.
 
     The amplitude is always the first factor.  Complex products round
     differently with the operands swapped, and numpy swaps them on its own
     when it reuses a large temporary such as np.conj(half_turn), which would
     make a site's result depend on the grid size.
     """
-    values = phases.values_for(state.half_width)
+    values = phases.values
+    if values.ndim and values.shape != state.amps.shape[-3:-1]:
+        raise PhaseCoverageError(
+            f"phases of shape {values.shape} do not match the state's "
+            f"{state.grid_size}x{state.grid_size} grid"
+        )
     half_turn = np.exp(-0.5j * values)
     out = np.empty_like(state.amps)
     np.multiply(state.amps[..., COIN_H], half_turn, out=out[..., COIN_H])

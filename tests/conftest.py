@@ -22,7 +22,7 @@ def walk_states(config, trajectory_index=0):
     sampler = PhaseSampler(config, trajectory_index)
     states = [initial_state(config.steps)]
     for n in range(1, config.steps + 1):
-        states.append(step(states[-1], sampler.phases_for_step(n, config.steps)))
+        states.append(step(states[-1], sampler.phases_for_step(n, states[-1].half_width)))
     return states
 
 

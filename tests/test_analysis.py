@@ -89,8 +89,7 @@ class TestVariance:
                              realizations=1, master_seed=12)
         state = walk_states(cfg)[6]
         size = state.grid_size
-        phases = PhaseMatrix(rng.uniform(-math.pi, math.pi, (size, size)),
-                             state.half_width, step=7)
+        phases = PhaseMatrix(rng.uniform(-math.pi, math.pi, (size, size)))
         before = grid_variance(state.probabilities(), 6)
         after = grid_variance(apply_dephasing(state, phases).probabilities(), 6)
         assert after == pytest.approx(before, abs=1e-12)

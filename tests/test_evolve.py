@@ -96,7 +96,7 @@ class TestStepAgainstReference:
         for n in range(1, 7):
             pm = sampler.phases_for_step(n, 6)
             state = step(state, pm)
-            values = pm.values_for(6)
+            values = pm.values
             ref_amps = ref_step(ref_amps, lambda i, j: float(values[i + 6, j + 6]))
             for (i, j), (h, v) in ref_amps.items():
                 got_h, got_v = state.amps[i + 6, j + 6]
@@ -135,13 +135,17 @@ class TestRunTrajectory:
 
         def corrupt(self, n, half_width):
             if n == 2:
-                return PhaseMatrix(np.float64(bad), None, n)
+                return PhaseMatrix(np.float64(bad))
             return real(self, n, half_width)
 
         monkeypatch.setattr(PhaseSampler, "phases_for_step", corrupt)
         cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 4, realizations=8)
         with pytest.raises(InvariantViolationError, match="trajectory 5: norm at step 2"):
             run_trajectory(cfg, 5)
+        # the ensemble passes the error on, so the message names the trajectory once
+        with pytest.raises(InvariantViolationError, match="trajectory 0: norm at step 2") as info:
+            run_ensemble(cfg)
+        assert str(info.value).count("trajectory") == 1
 
     @pytest.mark.parametrize("mode", [DisorderMode.DYNAMICAL_SPATIAL,
                                       DisorderMode.STATIC_SPATIAL])

@@ -373,25 +373,33 @@ class TestCliUndecodableFile:
 
 
 class TestCliBadFileLine:
-    """A line that is not `key = value` exits 2 and names the file and line."""
+    """A bad file line exits 2 and names the file: a line that is not
+    `key = value` (named by its number), or a value its setting cannot
+    parse, even when a flag sets the same key."""
 
-    @pytest.fixture
-    def junk(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("mode = none\njunk\n")
-        return path
+    CASES = [("junk", "config line 2: expected 'key = value', got 'junk'"),
+             ("steps = abc", "bad value for 'steps': 'abc'"),
+             ("schema = 7", "schema must be 1, got '7'")]
 
-    def test_config_file(self, junk, tmp_path, capsys):
-        assert main(["run", "--config", str(junk), "--seed", "1",
-                     "--out-dir", str(tmp_path / "x")]) == 2
-        assert f"error: {junk}: config line 2: expected 'key = value', got 'junk'" \
-            in capsys.readouterr().err
+    def bad_files(self, tmp_path):
+        for k, (line, message) in enumerate(self.CASES):
+            path = tmp_path / f"bad{k}.cfg"
+            path.write_text(f"mode = none\n{line}\n")
+            yield path, message
 
-    def test_fit_manifest(self, junk, tmp_path, capsys):
+    def test_config_file(self, tmp_path, capsys):
+        for path, message in self.bad_files(tmp_path):
+            assert main(["run", "--config", str(path), "--seed", "1", "--steps", "3",
+                         "--out-dir", str(tmp_path / "x")]) == 2
+            assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_fit_manifest(self, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("step,i,j,p\n0,0,0,1.0\n")
-        assert main(["fit", str(csv_path), "--manifest", str(junk)]) == 2
-        assert f"error: {junk}: config line 2:" in capsys.readouterr().err
+        for path, message in self.bad_files(tmp_path):
+            assert main(["fit", str(csv_path), "--manifest", str(path)]) == 2
+            assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fits.json").exists()
 
 

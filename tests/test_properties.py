@@ -1,5 +1,6 @@
-"""Property tests: the walk unitary that both engines share, the manifest
-text format, zeta parsing, and `qwalk2d fit` on arbitrary manifest text."""
+"""Property tests: the walk unitary that both engines share, the phase
+window a step is handed, the manifest text format, zeta parsing, and
+`qwalk2d fit` on arbitrary manifest text."""
 
 import math
 
@@ -14,6 +15,7 @@ from qwalk2d import (
     DisorderConfig,
     DisorderMode,
     PhaseMatrix,
+    PhaseSampler,
     WalkState,
     apply_coin,
     apply_shift_x,
@@ -44,7 +46,7 @@ class TestSharedUnitary:
                              master_seed=0)
         vec = psi.amps.reshape(-1)
         got = exact_step_density(DensityState(np.outer(vec, vec.conj()), half_width), cfg).rho
-        out = step(psi, PhaseMatrix(np.float64(0.0), None, 1)).amps.reshape(-1)
+        out = step(psi, PhaseMatrix(np.float64(0.0))).amps.reshape(-1)
         want = np.outer(out, out.conj())
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -54,7 +56,7 @@ class TestSharedUnitary:
         rng = np.random.default_rng(seed)
         psi = random_state(rng, half_width)
         size = 2 * half_width + 1
-        phases = PhaseMatrix(rng.uniform(-np.pi, np.pi, size=(size, size)), half_width, 1)
+        phases = PhaseMatrix(rng.uniform(-np.pi, np.pi, size=(size, size)))
         assert abs(step(psi, phases).norm() - 1.0) <= 1e-12
         cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, np.pi, steps=half_width,
                              realizations=1, master_seed=0)
@@ -72,6 +74,21 @@ class TestSharedUnitary:
             stacked = op(stack).amps
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(stacked[b], op(state).amps)
+
+
+class TestPhaseWindow:
+    @settings(deadline=None)
+    @given(mode=st.sampled_from([DisorderMode.DYNAMICAL_SPATIAL, DisorderMode.STATIC_SPATIAL]),
+           seed=seeds, index=st.integers(0, 2**20), n_steps=st.integers(1, 12), data=st.data())
+    def test_window_is_the_centre_of_the_whole_lattice(self, mode, seed, index, n_steps, data):
+        widths = data.draw(st.lists(st.integers(0, n_steps), min_size=1, max_size=4))
+        cfg = DisorderConfig(mode, np.pi, steps=n_steps, realizations=1, master_seed=seed)
+        window, whole = PhaseSampler(cfg, index), PhaseSampler(cfg, index)
+        for n, h in enumerate(widths, start=1):
+            got = window.phases_for_step(n, h).values
+            full = whole.phases_for_step(n, n_steps).values
+            lo, hi = n_steps - h, n_steps + h + 1
+            np.testing.assert_array_equal(got, full[lo:hi, lo:hi])
 
 
 # a config value survives the format when it holds no '#' (a comment), no

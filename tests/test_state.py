@@ -4,9 +4,12 @@ import pytest
 from qwalk2d import (
     COIN_H,
     COIN_V,
+    DisorderConfig,
+    DisorderMode,
     LatticeOverflowError,
     PhaseCoverageError,
     PhaseMatrix,
+    PhaseSampler,
     WalkState,
     apply_coin,
     apply_dephasing,
@@ -104,12 +107,12 @@ class TestShifts:
 class TestDephasing:
     def grid_phases(self, rng, half_width, zeta=np.pi):
         size = 2 * half_width + 1
-        return PhaseMatrix(rng.uniform(-zeta, zeta, (size, size)), half_width, step=1)
+        return PhaseMatrix(rng.uniform(-zeta, zeta, (size, size)))
 
     def test_zero_phases_are_identity(self, rng):
         s = random_state(rng)
         size = s.grid_size
-        phases = PhaseMatrix(np.zeros((size, size)), s.half_width, step=1)
+        phases = PhaseMatrix(np.zeros((size, size)))
         out = apply_dephasing(s, phases)
         np.testing.assert_array_equal(out.amps, s.amps)
 
@@ -117,7 +120,7 @@ class TestDephasing:
         a, b = 0.6 + 0.2j, -0.3 + 0.7j
         s = single_site_state(1, -1, a, b)
         size = s.grid_size
-        phases = PhaseMatrix(np.full((size, size), np.pi), s.half_width, step=1)
+        phases = PhaseMatrix(np.full((size, size), np.pi))
         ah, av = apply_dephasing(s, phases).amps[1 + 3, -1 + 3]
         assert ah == pytest.approx(-1j * a, abs=1e-15)
         assert av == pytest.approx(1j * b, abs=1e-15)
@@ -139,8 +142,8 @@ class TestDephasing:
 
     def test_uniform_scalar_phase_broadcasts(self, rng):
         s = random_state(rng)
-        scalar = PhaseMatrix(np.float64(0.8), None, step=1)
-        grid = PhaseMatrix(np.full((s.grid_size, s.grid_size), 0.8), s.half_width, step=1)
+        scalar = PhaseMatrix(np.float64(0.8))
+        grid = PhaseMatrix(np.full((s.grid_size, s.grid_size), 0.8))
         np.testing.assert_allclose(apply_dephasing(s, scalar).amps,
                                    apply_dephasing(s, grid).amps, atol=1e-15)
 
@@ -149,6 +152,13 @@ class TestDephasing:
         small = self.grid_phases(rng, 2)
         with pytest.raises(PhaseCoverageError):
             apply_dephasing(s, small)
+        large = self.grid_phases(rng, 5)
+        with pytest.raises(PhaseCoverageError):
+            apply_dephasing(s, large)
+        cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, np.pi, steps=3,
+                             realizations=1, master_seed=0)
+        with pytest.raises(PhaseCoverageError):
+            PhaseSampler(cfg, 0).phases_for_step(1, 4)
 
     def test_norm_preserved(self, rng):
         s = random_state(rng)
