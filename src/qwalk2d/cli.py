@@ -164,9 +164,10 @@ def _cmd_fit(args) -> int:
     dists = read_distribution_csv(args.distributions)
     pairs = read_manifest_pairs(args.manifest) if args.manifest else {}
     config = manifest_from_pairs(pairs).disorder_config() if args.manifest else None
-    # the fit windows default from the stored steps, not the manifest's
-    manifest = manifest_from_pairs({**pairs, "steps": str(len(dists) - 1),
-                                    **_flag_pairs(args)})
+    manifest = manifest_from_pairs({**pairs, **_flag_pairs(args)})
+    # the fit windows default from the stored steps (0 for a lone step 0),
+    # not the manifest's
+    manifest.steps = len(dists) - 1
 
     stack = np.stack([d.probs for d in dists])
     variances = variance_series(stack, dists[0].half_width)

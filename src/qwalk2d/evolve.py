@@ -6,56 +6,65 @@ the full density matrix under the phase-averaged channel instead; it has no
 sampling error but scales as the square of the lattice size, so it is only
 meant for short walks.
 
-Both engines start from the walker on its one site (half width 0) and run
-through one light-cone loop, _light_cone: before every step it pads the
-state with one empty ring, so after n steps the window covers |i|, |j| <= n;
-after the step it checks the window's unit total and writes the window into
-the centre of a zeroed (N+1, 2N+1, 2N+1) stack.
+Both engines keep their states on the parity sublattice (see the state
+module): shape (n + 1, n + 1, 2) after n steps, and an oracle rho of
+dimension 2 (n + 1)^2.  Step n takes every other phase of its window
+|i|, |j| <= n, a strided view of the whole-lattice draw.  One light-cone
+loop, _light_cone, runs both engines: after every step it checks the unit
+total and scatters the (n + 1)^2 probabilities onto the sites
+i = j = n (mod 2) of a zeroed (N+1, 2N+1, 2N+1) stack.  The public step
+and exact_step_density run the same kernels on the full grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import variance_series
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
-from .errors import (
-    ConfigError,
-    LatticeOverflowError,
-    UnsupportedModeError,
-    check_unit_total,
-)
+from .errors import ConfigError, UnsupportedModeError, check_unit_total
 from .state import (
     WalkState,
+    _grow_x,
+    _grow_y,
     apply_coin,
     apply_dephasing,
     apply_shift_x,
     apply_shift_y,
     initial_state,
-    pad_ring,
 )
 
-# dense density matrices grow as (2 * (2n+1)^2)^2; past this the oracle is
-# no longer a sensible tool
-MAX_ORACLE_STEPS = 10
+# on the parity sublattice rho has dimension 2 (n+1)^2 after n steps, so the
+# dense oracle grows as (n+1)^4; at the cap its last rho has dimension 882,
+# and past it the oracle is no longer a sensible tool
+MAX_ORACLE_STEPS = 20
 
 
-def _unitary(state: WalkState) -> WalkState:
+def _unitary(state: WalkState, sublattice: bool) -> WalkState:
     """The deterministic part of a step, U = S_Y H S_X H, on the trailing
-    (L, L, 2) axes; each intermediate is dropped as soon as it is consumed."""
+    (L, L, 2) axes of a sublattice or full-grid state; each intermediate is
+    dropped as soon as it is consumed."""
+    shift_x, shift_y = (_grow_x, _grow_y) if sublattice else (apply_shift_x, apply_shift_y)
     state = apply_coin(state)
-    state = apply_shift_x(state)
+    state = shift_x(state)
     state = apply_coin(state)
-    return apply_shift_y(state)
+    return shift_y(state)
+
+
+def _step(state: WalkState, phases: PhaseMatrix, sublattice: bool) -> WalkState:
+    """Coin, x shift, coin, y shift, dephasing; a sublattice state comes out
+    on the sublattice of the next step."""
+    out = apply_dephasing(_unitary(state, sublattice), phases)
+    return WalkState(out.amps, state.half_width + sublattice, state.step_count + 1)
 
 
 def step(state: WalkState, phases: PhaseMatrix) -> WalkState:
-    """Advance one full step: coin, x shift, coin, y shift, dephasing."""
-    out = apply_dephasing(_unitary(state), phases)
-    out.step_count = state.step_count + 1
-    return out
+    """Advance a full-grid state one full step: coin, x shift, coin, y
+    shift, dephasing."""
+    return _step(state, phases, sublattice=False)
 
 
 @dataclass
@@ -69,42 +78,52 @@ class TrajectoryResult:
     half_width: int
 
 
-def _centred(grid: np.ndarray, window: np.ndarray) -> None:
-    """Write a square window into the centre of a larger square grid."""
-    off = (grid.shape[0] - window.shape[0]) // 2
-    grid[off:off + window.shape[0], off:off + window.shape[1]] = window
+def _scatter(grid: np.ndarray, window: np.ndarray) -> None:
+    """Write step n's (n + 1, n + 1) sublattice window onto the sites
+    i = j = n (mod 2), |i|, |j| <= n, of a centred square grid."""
+    n, centre = window.shape[0] - 1, grid.shape[0] // 2
+    sites = slice(centre - n, centre + n + 1, 2)
+    grid[sites, sites] = window
 
 
-def _light_cone(state, n_steps: int, pad, advance, site_probabilities,
-                what: str) -> np.ndarray:
-    """Per-step site probabilities of state, shape (n_steps + 1, L, L) with
-    L = 2 n_steps + 1.  Before step n, pad widens the state by one ring and
-    the result is rebound, so the narrower state is freed before
-    advance(state, n) runs.  A step whose total is not 1 raises
+def _light_cone(state, n_steps: int, advance, site_probabilities, what: str) -> np.ndarray:
+    """Per-step site probabilities of a sublattice state, shape
+    (n_steps + 1, L, L) with L = 2 n_steps + 1.  advance(state, n) returns
+    the state after step n, and the result is rebound, so the previous
+    state is freed.  A step whose total is not 1 raises
     InvariantViolationError naming what and the step."""
     size = 2 * n_steps + 1
     probs = np.zeros((n_steps + 1, size, size), dtype=float)
-    _centred(probs[0], site_probabilities(state))
+    _scatter(probs[0], site_probabilities(state))
     for n in range(1, n_steps + 1):
-        state = pad(state)
         state = advance(state, n)
         window = site_probabilities(state)
         check_unit_total(window.sum(), f"{what} at step {n}")
-        _centred(probs[n], window)
+        _scatter(probs[n], window)
     return probs
+
+
+def _sublattice_phases(phases: PhaseMatrix) -> PhaseMatrix:
+    """Step n's phases on its parity sublattice: every other site of the
+    window |i|, |j| <= n, as a strided view.  A scalar passes through."""
+    values = phases.values
+    return PhaseMatrix(values[::2, ::2]) if values.ndim else phases
 
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
     """Run one realization for config.steps steps.
 
-    The state grows with the light cone (see the module docstring), and
-    step n takes the phases of its window |i|, |j| <= n from the sampler.
+    The state lives on the parity sublattice (see the module docstring),
+    and step n takes the phases of its window |i|, |j| <= n from the
+    sampler.
     """
     n_steps = config.steps
     sampler = PhaseSampler(config, trajectory_index)
-    probs = _light_cone(initial_state(0), n_steps, pad_ring,
-                        lambda state, n: step(state, sampler.phases_for_step(n, n)),
-                        WalkState.probabilities, f"trajectory {trajectory_index}: norm")
+    probs = _light_cone(
+        initial_state(0), n_steps,
+        lambda state, n: _step(state, _sublattice_phases(sampler.phases_for_step(n, n)),
+                               sublattice=True),
+        WalkState.probabilities, f"trajectory {trajectory_index}: norm")
     return TrajectoryResult(probs, n_steps)
 
 
@@ -114,11 +133,11 @@ def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryR
 
 @dataclass
 class DensityState:
-    """Dense density matrix over the bounded lattice and coin.
+    """Dense density matrix over the walker's sites and coin.
 
-    Basis order is site-major, coin-minor: basis index
-    ((i + h) * L + (j + h)) * 2 + c with L = 2h + 1 and c = 0 for H,
-    1 for V.  rho has shape (2 L^2, 2 L^2).
+    Basis order is site-major, coin-minor: basis index (u * L + v) * 2 + c,
+    where (u, v, c) indexes a WalkState's amps (either layout, see the
+    state module) and c = 0 is H, 1 is V.  rho has shape (2 L^2, 2 L^2).
     """
 
     rho: np.ndarray
@@ -127,7 +146,8 @@ class DensityState:
 
     @property
     def grid_size(self) -> int:
-        return 2 * self.half_width + 1
+        """L, the number of sites stored along each axis."""
+        return math.isqrt(self.rho.shape[0] // 2)
 
     def site_probabilities(self) -> np.ndarray:
         """(L, L) grid of p(i, j), the coin-traced diagonal."""
@@ -172,30 +192,10 @@ def _coin_block(config: DisorderConfig) -> np.ndarray | None:
     return np.array([[1.0, same_coin], [same_coin, 1.0]])
 
 
-def _pad_density(dstate: DensityState) -> DensityState:
-    """The same density matrix on a lattice one ring wider; the ring is empty.
-    All six axes of rho as a (L, L, 2, L, L, 2) tensor are padded in one store."""
-    size = dstate.grid_size
-    t = np.zeros((size + 2, size + 2, 2) * 2, dtype=dstate.rho.dtype)
-    t[1:-1, 1:-1, :, 1:-1, 1:-1, :] = dstate.rho.reshape((size, size, 2) * 2)
-    dim = 2 * (size + 2) ** 2
-    return DensityState(t.reshape(dim, dim), dstate.half_width + 1, dstate.step_count)
-
-
-def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityState:
-    """One step of the phase-averaged channel on a density matrix.
-
-    Applies the deterministic unitaries by conjugation, then damps each
-    matrix element by the average of its dephasing factor.  Uniform
-    dephasing damps every site's coin block alike.  Spatial dephasing draws
-    independent phases on distinct sites, so every coherence between two
-    sites is damped by cross_site_coherence_factor, while a site's own 2x2
-    block sees a single phase and takes the coin block instead.
-    """
-    if dstate.step_count + 1 > dstate.half_width:
-        raise LatticeOverflowError(
-            f"oracle lattice bound {dstate.half_width} cannot hold step {dstate.step_count + 1}"
-        )
+def _density_step(dstate: DensityState, config: DisorderConfig,
+                  sublattice: bool) -> DensityState:
+    """One step of the phase-averaged channel on a sublattice or full-grid
+    density matrix; a sublattice one comes out on the next step's."""
     block = _coin_block(config)
     size, h = dstate.grid_size, dstate.half_width
     # U rho U^dagger with rho as a (L, L, 2, L, L, 2) tensor: U on the ket
@@ -204,19 +204,34 @@ def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityS
     # bra side consumes it
     t = dstate.rho.reshape(size, size, 2, size, size, 2)
     t = _unitary(WalkState(
-        _unitary(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h)).amps.transpose(3, 4, 5, 0, 1, 2),
+        _unitary(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h),
+                 sublattice).amps.transpose(3, 4, 5, 0, 1, 2),
         h,
-    )).amps
+    ), sublattice).amps
     if block is not None and config.mode is DisorderMode.DYNAMICAL_UNIFORM:
         t *= block.reshape(1, 1, 2, 1, 1, 2)
     elif block is not None:
-        sites = np.arange(size)
+        sites = np.arange(t.shape[0])
         ii, jj = sites[:, None], sites[None, :]
         own = t[ii, jj, :, ii, jj, :]
         t *= cross_site_coherence_factor(config.zeta)
         t[ii, jj, :, ii, jj, :] = own * block
-    dim = 2 * size * size
-    return DensityState(t.reshape(dim, dim), dstate.half_width, dstate.step_count + 1)
+    dim = 2 * t.shape[0] ** 2
+    return DensityState(t.reshape(dim, dim), h + sublattice, dstate.step_count + 1)
+
+
+def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityState:
+    """One step of the phase-averaged channel on a full-grid density matrix.
+
+    Applies the deterministic unitaries by conjugation, then damps each
+    matrix element by the average of its dephasing factor.  Uniform
+    dephasing damps every site's coin block alike.  Spatial dephasing draws
+    independent phases on distinct sites, so every coherence between two
+    sites is damped by cross_site_coherence_factor, while a site's own 2x2
+    block sees a single phase and takes the coin block instead.  Raises
+    LatticeOverflowError if the step would leave the grid.
+    """
+    return _density_step(dstate, config, sublattice=False)
 
 
 @dataclass
@@ -232,9 +247,9 @@ class ExactRunResult:
 def exact_run(config: DisorderConfig) -> ExactRunResult:
     """Evolve the averaged channel for config.steps steps.
 
-    The lattice grows with the light cone (see the module docstring), so
-    step n works on a density matrix of dimension 2 (2n + 1)^2.  Intended
-    for small lattices only: runs are capped at MAX_ORACLE_STEPS steps.
+    rho lives on the parity sublattice (see the module docstring), so step
+    n works on a density matrix of dimension 2 (n + 1)^2.  Intended for
+    small lattices only: runs are capped at MAX_ORACLE_STEPS steps.
     """
     n_steps = config.steps
     if n_steps > MAX_ORACLE_STEPS:
@@ -243,7 +258,7 @@ def exact_run(config: DisorderConfig) -> ExactRunResult:
             f"(dense density matrix), got {n_steps}"
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
-    probs = _light_cone(initial_density(0), n_steps, _pad_density,
-                        lambda dstate, n: exact_step_density(dstate, config),
+    probs = _light_cone(initial_density(0), n_steps,
+                        lambda dstate, n: _density_step(dstate, config, sublattice=True),
                         DensityState.site_probabilities, "oracle trace")
     return ExactRunResult(config, probs, variance_series(probs, n_steps), n_steps)

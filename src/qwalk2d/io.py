@@ -57,6 +57,19 @@ def _parse_schema(text: str) -> int:
     return MANIFEST_SCHEMA_VERSION
 
 
+# a valid DisorderConfig, against which one manifest field at a time is checked
+_VALID_CONFIG = {"mode": "none", "zeta": 0.0, "steps": 1, "realizations": 1, "master_seed": 0}
+
+
+def _checked(name: str, parse):
+    """parse, followed by DisorderConfig's own check of its field name."""
+    def parse_and_check(text: str):
+        value = parse(text)
+        DisorderConfig(**{**_VALID_CONFIG, name: value})
+        return value
+    return parse_and_check
+
+
 def _parse_engine(text: str) -> str:
     if text not in ("trajectory", "exact"):
         raise ConfigError(f"unknown engine {text!r}")
@@ -71,16 +84,24 @@ class RunManifest:
     mode and seed carry no default on purpose; a run must state them
     explicitly.  fit_n_hi and fit_d_hi default to steps and steps - 6 when
     left unset.  engine and schema have no flag: the subcommand sets engine.
+    mode, zeta, steps, realizations and seed are checked as DisorderConfig
+    checks them, when parsed, so a bad value in a file is an error naming
+    the file.
     """
 
     schema_version: int = _setting("schema", _parse_schema, MANIFEST_SCHEMA_VERSION)
     mode: str | None = _setting(
-        "mode", str, None, "disorder mode: none, dynamical-spatial, static-spatial, dynamical-uniform")
+        "mode", _checked("mode", str), None,
+        "disorder mode: none, dynamical-spatial, static-spatial, dynamical-uniform")
     zeta: float = _setting(
-        "zeta", parse_zeta, math.pi, "phase bound in radians; accepts pi expressions like pi/2")
-    steps: int = _setting("steps", int, 20, "number of walk steps N")
-    realizations: int = _setting("realizations", int, 500, "ensemble size R")
-    seed: int | None = _setting("seed", int, None, "64-bit master seed (required, never defaulted)")
+        "zeta", _checked("zeta", parse_zeta), math.pi,
+        "phase bound in radians; accepts pi expressions like pi/2")
+    steps: int = _setting("steps", _checked("steps", int), 20, "number of walk steps N")
+    realizations: int = _setting(
+        "realizations", _checked("realizations", int), 500, "ensemble size R")
+    seed: int | None = _setting(
+        "seed", _checked("master_seed", int), None,
+        "64-bit master seed (required, never defaulted)")
     engine: str = _setting("engine", _parse_engine, "trajectory")
     threads: int | None = _setting(
         "threads", int, None, "worker count; 1 is the serial reference path")

@@ -1,14 +1,23 @@
 """Walker state on a 2D integer lattice with a two-level coin.
 
 The walker lives on sites (i, j) and carries a polarization coin spanned by
-|H> and |V>.  Amplitudes are stored densely on the square |i|, |j| <=
-half_width.  A step moves the walker at most one site along each axis, so
-a state that gains one empty ring (pad_ring) before every step never
-reaches the boundary.  Both engines start from the walker on its one site
-(half width 0) and share one light-cone loop (evolve._light_cone) that
-pads this way, so the grid has half width n after n steps and the dynamics
-are those of the unbounded lattice.  All operations are pure: they return
-a new state and never mutate their input.
+|H> and |V>.  A step moves it one site along each axis, so after n steps
+it can only be on the (n + 1)^2 sites with |i|, |j| <= n and
+i = j = n (mod 2).  Amplitudes are stored in one of two layouts:
+
+- the full grid of half width h: site (i, j) at [i + h, j + h] of a
+  (2h + 1, 2h + 1, 2) array, zero off the walker's sites;
+- the parity sublattice of step n: site (i, j) at [(i + n) / 2, (j + n) / 2]
+  of an (n + 1, n + 1, 2) array.  Both engines keep their states this way.
+
+Each axis has one shift kernel, _grow_x or _grow_y: the H amplitude keeps
+its index along the axis and the V amplitude moves to the next index, in
+an axis one longer.  On the sublattice that is the whole shift, since index
+u holds i = 2u - n before it and 2u - (n + 1) after.  The full-grid
+apply_shift_x/y is the kernel followed by a crop back to 2h + 1 rows.  The
+coin and the dephasing kick act site by site, so they serve both layouts.
+At half width 0 the two layouts coincide.  All operations are pure: they
+return a new state and never mutate their input.
 """
 
 from __future__ import annotations
@@ -31,11 +40,12 @@ COIN_V = 1
 class WalkState:
     """Pure state of one walk trajectory.
 
-    amps has shape (L, L, 2) with L = 2 * half_width + 1; the amplitude of
-    site (i, j) with coin c sits at amps[i + half_width, j + half_width, c].
-    The coin and shift functions act on the trailing (L, L, 2) axes only, so
-    an amps array with leading batch axes is a stack of walk states; the
-    exact oracle uses this to apply the walk unitary to a density matrix.
+    amps has shape (L, L, 2): L = 2 * half_width + 1 on the full grid, and
+    half_width + 1 on the parity sublattice of step half_width (see the
+    module docstring for where each site sits).  The coin and shift
+    functions act on the trailing (L, L, 2) axes only, so an amps array
+    with leading batch axes is a stack of walk states; the exact oracle
+    uses this to apply the walk unitary to a density matrix.
     """
 
     amps: np.ndarray
@@ -44,7 +54,8 @@ class WalkState:
 
     @property
     def grid_size(self) -> int:
-        return 2 * self.half_width + 1
+        """L, the number of sites stored along each axis."""
+        return self.amps.shape[-2]
 
     def probabilities(self) -> np.ndarray:
         """(L, L) grid of site probabilities p(i, j) = |aH|^2 + |aV|^2."""
@@ -59,8 +70,9 @@ class WalkState:
 def initial_state(half_width: int) -> WalkState:
     """Walker at the central site (0, 0) in the coin state (|H> + i|V>)/sqrt(2).
 
-    half_width fixes the grid size; each step needs one more ring, from
-    pad_ring or from a larger half_width here.
+    half_width fixes the full grid, which holds that many steps.  At half
+    width 0 the one site is also the parity sublattice of step 0, where
+    both engines start.
     """
     if half_width < 0:
         raise ValueError(f"half_width must be >= 0, got {half_width!r}")
@@ -69,17 +81,6 @@ def initial_state(half_width: int) -> WalkState:
     amps[half_width, half_width, COIN_H] = _INV_SQRT2
     amps[half_width, half_width, COIN_V] = 1j * _INV_SQRT2
     return WalkState(amps, half_width, step_count=0)
-
-
-def pad_ring(state: WalkState) -> WalkState:
-    """The same state on a grid one site wider on every side; the new ring is empty.
-
-    Acts on the trailing (L, L, 2) axes, like the coin and the shifts.
-    """
-    a = state.amps
-    out = np.zeros(a.shape[:-3] + (a.shape[-3] + 2, a.shape[-2] + 2, 2), dtype=a.dtype)
-    out[..., 1:-1, 1:-1, :] = a
-    return WalkState(out, state.half_width + 1, state.step_count)
 
 
 def apply_coin(state: WalkState) -> WalkState:
@@ -91,29 +92,53 @@ def apply_coin(state: WalkState) -> WalkState:
     return WalkState(out, state.half_width, state.step_count)
 
 
-def apply_shift_x(state: WalkState) -> WalkState:
-    """Conditional shift along x: H amplitude to (i-1, j), V to (i+1, j)."""
+def _grow_x(state: WalkState) -> WalkState:
+    """The x shift kernel: H amplitude stays at index u, V moves to u + 1,
+    in an x axis one longer.  On the parity sublattice this is the whole
+    shift, H to (i-1, j) and V to (i+1, j)."""
     a = state.amps
-    if a[..., 0, :, COIN_H].any() or a[..., -1, :, COIN_V].any():
+    out = np.zeros(a.shape[:-3] + (a.shape[-3] + 1,) + a.shape[-2:], dtype=a.dtype)
+    out[..., :-1, :, COIN_H] = a[..., COIN_H]
+    out[..., 1:, :, COIN_V] = a[..., COIN_V]
+    return WalkState(out, state.half_width, state.step_count)
+
+
+def _grow_y(state: WalkState) -> WalkState:
+    """The y shift kernel: as _grow_x, along the y axis."""
+    a = state.amps
+    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 1, 2), dtype=a.dtype)
+    out[..., :-1, COIN_H] = a[..., COIN_H]
+    out[..., 1:, COIN_V] = a[..., COIN_V]
+    return WalkState(out, state.half_width, state.step_count)
+
+
+def apply_shift_x(state: WalkState) -> WalkState:
+    """Conditional shift along x on the full grid: H amplitude to (i-1, j),
+    V to (i+1, j).  _grow_x, then a crop back to the grid: H's leading row
+    and V's trailing row are dropped, and LatticeOverflowError is raised if
+    either held amplitude."""
+    grown = _grow_x(state).amps
+    if grown[..., 0, :, COIN_H].any() or grown[..., -1, :, COIN_V].any():
         raise LatticeOverflowError(
             f"x shift would move amplitude past |i| = {state.half_width}"
         )
-    out = np.zeros_like(a)
-    out[..., :-1, :, COIN_H] = a[..., 1:, :, COIN_H]
-    out[..., 1:, :, COIN_V] = a[..., :-1, :, COIN_V]
+    out = np.empty_like(state.amps)
+    out[..., COIN_H] = grown[..., 1:, :, COIN_H]
+    out[..., COIN_V] = grown[..., :-1, :, COIN_V]
     return WalkState(out, state.half_width, state.step_count)
 
 
 def apply_shift_y(state: WalkState) -> WalkState:
-    """Conditional shift along y: H amplitude to (i, j-1), V to (i, j+1)."""
-    a = state.amps
-    if a[..., 0, COIN_H].any() or a[..., -1, COIN_V].any():
+    """Conditional shift along y on the full grid: H amplitude to (i, j-1),
+    V to (i, j+1).  _grow_y, then the crop of apply_shift_x along y."""
+    grown = _grow_y(state).amps
+    if grown[..., 0, COIN_H].any() or grown[..., -1, COIN_V].any():
         raise LatticeOverflowError(
             f"y shift would move amplitude past |j| = {state.half_width}"
         )
-    out = np.zeros_like(a)
-    out[..., :-1, COIN_H] = a[..., 1:, COIN_H]
-    out[..., 1:, COIN_V] = a[..., :-1, COIN_V]
+    out = np.empty_like(state.amps)
+    out[..., COIN_H] = grown[..., 1:, COIN_H]
+    out[..., COIN_V] = grown[..., :-1, COIN_V]
     return WalkState(out, state.half_width, state.step_count)
 
 

@@ -16,14 +16,20 @@ def assert_support_ok(prob_grid, half_width, n):
     assert np.all((j - n) % 2 == 0), f"step {n}: y parity violated"
 
 
-def walk_states(config, trajectory_index=0):
-    """States after 0..config.steps steps of one trajectory, rebuilt from
-    PhaseSampler and step as run_trajectory evolves them."""
+def iter_walk_states(config, trajectory_index=0):
+    """States after 0..config.steps steps of one trajectory, one at a time,
+    rebuilt on the full grid from PhaseSampler and step."""
     sampler = PhaseSampler(config, trajectory_index)
-    states = [initial_state(config.steps)]
+    state = initial_state(config.steps)
+    yield state
     for n in range(1, config.steps + 1):
-        states.append(step(states[-1], sampler.phases_for_step(n, states[-1].half_width)))
-    return states
+        state = step(state, sampler.phases_for_step(n, state.half_width))
+        yield state
+
+
+def walk_states(config, trajectory_index=0):
+    """The list of iter_walk_states; run_trajectory must match it bit for bit."""
+    return list(iter_walk_states(config, trajectory_index))
 
 
 def random_state(rng, half_width=4, support=None, real=False):

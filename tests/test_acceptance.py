@@ -152,6 +152,17 @@ def test_criterion_4_uniform_dephasing(uniform_pi, spatial_pi):
         assert v20 > spatial_pi.variances[20]
 
 
+@pytest.mark.parametrize("mode,v20,tol", [
+    (DisorderMode.DYNAMICAL_SPATIAL, DIFFUSIVE_V20, DIFFUSIVE_V20_TOL),
+    (DisorderMode.DYNAMICAL_UNIFORM, UNIFORM_V20, UNIFORM_V20_TOL),
+])
+def test_exact_v20_lies_in_the_criterion_3_and_4_bands(mode, v20, tol):
+    # the exact channel at the acceptance scale: 51.7649... and 98.6703...
+    exact = exact_run(DisorderConfig(mode, math.pi, steps=STEPS, realizations=1,
+                                     master_seed=MASTER_SEED))
+    assert abs(exact.variances[20] - v20) <= tol, f"exact V(20) = {exact.variances[20]}"
+
+
 def test_criterion_5_monotone_in_zeta(ballistic, spatial_half_pi, spatial_pi):
     with criterion(5, "V(20) decreases with zeta"):
         ordered = [ballistic, spatial_half_pi, spatial_pi]

@@ -26,7 +26,7 @@ from qwalk2d import (
     step,
     variance_series,
 )
-from conftest import assert_support_ok, walk_states
+from conftest import assert_support_ok, iter_walk_states, walk_states
 from reference import ref_probs, ref_run, ref_step, ref_variance
 
 R8 = 1.0 / math.sqrt(8.0)
@@ -156,6 +156,24 @@ class TestRunTrajectory:
         cfg = config(mode, math.pi, 64, seed=11)
         traj = run_trajectory(cfg, 3)
         for n, state in enumerate(walk_states(cfg, 3)):
+            np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
+
+    @settings(deadline=None)
+    @given(mode=st.sampled_from(list(DisorderMode)), zeta=st.floats(0.0, math.pi),
+           steps=st.integers(1, 12), seed=st.integers(0, 2**64 - 1),
+           index=st.integers(0, 2**20))
+    def test_sublattice_matches_full_grid_bit_for_bit(self, mode, zeta, steps, seed, index):
+        cfg = config(mode, zeta, steps, realizations=index + 1, seed=seed)
+        full = np.stack([s.probabilities() for s in walk_states(cfg, index)])
+        np.testing.assert_array_equal(run_trajectory(cfg, index).probabilities, full)
+
+    def test_sublattice_past_the_elision_size_matches_full_grid(self):
+        # the last steps' sublattice grids (up to 131^2 sites) pass 16384
+        # complex elements, where numpy starts to reuse temporaries; the
+        # kernels must round alike on both sides of that size
+        cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 130, seed=21)
+        traj = run_trajectory(cfg, 1)
+        for n, state in enumerate(iter_walk_states(cfg, 1)):
             np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
 
     @settings(deadline=None)
@@ -332,13 +350,19 @@ class TestExactRun:
     @pytest.mark.parametrize("mode", [DisorderMode.NONE, DisorderMode.DYNAMICAL_SPATIAL,
                                       DisorderMode.DYNAMICAL_UNIFORM])
     def test_light_cone_lattice_matches_full_lattice_bit_for_bit(self, mode):
-        cfg = config(mode, math.pi / 2, 10)
-        d = initial_density(10)
-        full = [d.site_probabilities()]
-        for _ in range(10):
-            d = exact_step_density(d, cfg)
-            full.append(d.site_probabilities())
-        np.testing.assert_array_equal(exact_run(cfg).probabilities, np.stack(full))
+        # exact_run on the parity sublattice against a chain of full-grid
+        # exact_step_density calls, as the benchmark's replay builds it
+        for zeta in (math.pi / 2, math.pi):
+            cfg = config(mode, zeta, 10)
+            d = initial_density(10)
+            full = [d.site_probabilities()]
+            for _ in range(10):
+                d = exact_step_density(d, cfg)
+                full.append(d.site_probabilities())
+            full = np.stack(full)
+            exact = exact_run(cfg)
+            np.testing.assert_array_equal(exact.probabilities, full)
+            np.testing.assert_array_equal(exact.variances, variance_series(full, 10))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("factor", ["cross_site_coherence_factor",
@@ -360,4 +384,4 @@ class TestExactRun:
         from qwalk2d import ConfigError
 
         with pytest.raises(ConfigError):
-            exact_run(config(DisorderMode.NONE, 0.0, 20))
+            exact_run(config(DisorderMode.NONE, 0.0, 21))

@@ -250,6 +250,16 @@ class TestCliOracle:
         assert doc["engine"] == "exact"
         assert doc["variance_series"][5]["stderr"] is None
 
+    def test_oracle_step_cap_is_20(self, tmp_path, capsys):
+        argv = ["oracle", "--mode", "dynamical-spatial", "--zeta", "pi", "--seed", "1",
+                "--out-dir", str(tmp_path / "x")]
+        assert main(argv + ["--steps", "21"]) == 2
+        assert "limited to 20 steps" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        assert main(argv + ["--steps", "20"]) == 0
+        doc = json.loads((tmp_path / "x" / "result.json").read_text())
+        assert len(doc["variance_series"]) == 21
+
     def test_oracle_rejects_static_mode(self, tmp_path, capsys):
         code = main(["oracle", "--mode", "static-spatial", "--zeta", "pi",
                      "--steps", "5", "--seed", "1",
@@ -379,7 +389,12 @@ class TestCliBadFileLine:
 
     CASES = [("junk", "config line 2: expected 'key = value', got 'junk'"),
              ("steps = abc", "bad value for 'steps': 'abc'"),
-             ("schema = 7", "schema must be 1, got '7'")]
+             ("schema = 7", "schema must be 1, got '7'"),
+             ("mode = bogus", "unknown mode 'bogus'"),
+             ("zeta = 9", "zeta must lie in [0, pi], got 9.0"),
+             ("steps = 0", "steps must be >= 1, got 0"),
+             ("realizations = 0", "realizations must be >= 1, got 0"),
+             ("seed = -1", "master_seed must be an unsigned 64-bit integer, got -1")]
 
     def bad_files(self, tmp_path):
         for k, (line, message) in enumerate(self.CASES):
@@ -401,6 +416,17 @@ class TestCliBadFileLine:
             assert main(["fit", str(csv_path), "--manifest", str(path)]) == 2
             assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fits.json").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mode", "bogus", "unknown mode 'bogus'"),
+        ("--zeta", "9", "zeta must lie in [0, pi], got 9.0"),
+        ("--steps", "0", "steps must be >= 1, got 0"),
+        ("--realizations", "0", "realizations must be >= 1, got 0"),
+    ])
+    def test_bad_flag_value_names_no_file(self, tmp_path, capsys, flag, value, message):
+        argv = {"--mode": "none", "--seed": "1", "--out-dir": str(tmp_path / "x"), flag: value}
+        assert main(["run", *[a for pair in argv.items() for a in pair]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCliSettings:

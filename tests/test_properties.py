@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk2d import (
+    COIN_H,
+    COIN_V,
     ConfigError,
     DensityState,
     DisorderConfig,
@@ -24,6 +26,7 @@ from qwalk2d import (
     step,
 )
 from qwalk2d.cli import main
+from qwalk2d.state import _grow_x, _grow_y
 from qwalk2d.io import (
     RunManifest,
     manifest_from_pairs,
@@ -75,6 +78,31 @@ class TestSharedUnitary:
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(stacked[b], op(state).amps)
 
+    @settings(deadline=None)
+    @given(seed=seeds, half_width=half_widths)
+    def test_full_grid_shift_is_the_grow_kernel_then_the_crop(self, seed, half_width):
+        psi = random_state(np.random.default_rng(seed), half_width)
+        # the crop drops H's leading row and V's trailing row of the grown axis
+        grown = _grow_x(psi).amps
+        cropped = np.stack([grown[1:, :, COIN_H], grown[:-1, :, COIN_V]], axis=-1)
+        np.testing.assert_array_equal(apply_shift_x(psi).amps, cropped)
+        grown = _grow_y(psi).amps
+        cropped = np.stack([grown[:, 1:, COIN_H], grown[:, :-1, COIN_V]], axis=-1)
+        np.testing.assert_array_equal(apply_shift_y(psi).amps, cropped)
+
+    @settings(deadline=None)
+    @given(seed=seeds, n=st.integers(0, 6), batch=st.integers(1, 3))
+    def test_stacked_sublattice_states_match_each_slice_bit_for_bit(self, seed, n, batch):
+        rng = np.random.default_rng(seed)
+        states = [WalkState(rng.normal(size=(n + 1, n + 1, 2))
+                            + 1j * rng.normal(size=(n + 1, n + 1, 2)), n)
+                  for _ in range(batch)]
+        stack = WalkState(np.stack([s.amps for s in states]), n)
+        for op in (apply_coin, _grow_x, _grow_y):
+            stacked = op(stack).amps
+            for b, state in enumerate(states):
+                np.testing.assert_array_equal(stacked[b], op(state).amps)
+
 
 class TestPhaseWindow:
     @settings(deadline=None)
@@ -98,15 +126,21 @@ values = st.text(st.characters(blacklist_characters="#",
 ints = st.integers(-2**70, 2**70)
 
 
+counts = st.integers(1, 2**70)
+modes = st.sampled_from([mode.value for mode in DisorderMode])
+
+
 @st.composite
 def manifests(draw):
+    # mode, zeta, steps, realizations and seed hold only values DisorderConfig takes;
+    # the parsers reject the rest (TestManifestText.test_out_of_range_rejected)
     return RunManifest(
         schema_version=1,
-        mode=draw(st.none() | values),
-        zeta=draw(st.floats(allow_nan=False)),
-        steps=draw(ints),
-        realizations=draw(ints),
-        seed=draw(st.none() | ints),
+        mode=draw(st.none() | modes),
+        zeta=draw(st.floats(0.0, math.pi)),
+        steps=draw(counts),
+        realizations=draw(counts),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
         engine=draw(st.sampled_from(["trajectory", "exact"])),
         threads=draw(st.none() | ints),
         out_dir=draw(values),
@@ -122,6 +156,20 @@ class TestManifestText:
     def test_round_trip(self, manifest):
         text = manifest_to_text(manifest)
         assert manifest_from_pairs(parse_manifest_text(text)) == manifest
+
+    @given(manifest=manifests(), data=st.data())
+    def test_out_of_range_rejected(self, manifest, data):
+        key, bad = data.draw(st.one_of(
+            st.tuples(st.just("mode"), values.filter(
+                lambda v: v not in {m.value for m in DisorderMode})),
+            st.tuples(st.just("zeta"), st.floats().filter(lambda z: not 0.0 <= z <= math.pi)),
+            st.tuples(st.sampled_from(["steps", "realizations"]), st.integers(-2**70, 0)),
+            st.tuples(st.just("seed"), st.integers(-2**70, -1) | st.integers(2**64, 2**70)),
+        ))
+        pairs = parse_manifest_text(manifest_to_text(manifest))
+        pairs[key] = bad if isinstance(bad, str) else repr(bad)
+        with pytest.raises(ConfigError, match=key):
+            manifest_from_pairs(pairs)
 
 
 decimals = st.from_regex(r"[0-9]*\.?[0-9]+", fullmatch=True)
