@@ -68,9 +68,13 @@ def site_coordinates(half_width: int) -> np.ndarray:
 def variance_series(prob_stack: np.ndarray, half_width: int) -> np.ndarray:
     """Variance sum_ij p(i,j) |r_ij - mu|^2, r_ij = (i, j), of each grid in a
     stack of shape (n_steps, L, L)."""
+    return marginal_variances(prob_stack.sum(axis=2), prob_stack.sum(axis=1), half_width)
+
+
+def marginal_variances(px: np.ndarray, py: np.ndarray, half_width: int) -> np.ndarray:
+    """The variance series of a grid stack from its marginals, both of
+    shape (n_steps, L): px[n, i] = sum_j p_n(i, j), py[n, j] = sum_i p_n(i, j)."""
     r = site_coordinates(half_width).astype(float)
-    px = prob_stack.sum(axis=2)
-    py = prob_stack.sum(axis=1)
     mu_x = px @ r
     mu_y = py @ r
     vx = px @ (r ** 2) - mu_x ** 2

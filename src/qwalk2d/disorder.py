@@ -73,7 +73,9 @@ class PhaseMatrix:
 
     values is either a (L, L) array over a centred window |i|, |j| <= h
     (entry [i + h, j + h], L = 2h + 1) or a 0-d scalar when the same phase
-    applies to every site (uniform dephasing, or no disorder at all).
+    applies to every site (uniform dephasing, or no disorder at all).  A
+    stack of B trajectories' grids, shape (B, L, L), is also accepted by
+    the dephasing kick.
     """
 
     values: np.ndarray
@@ -121,7 +123,8 @@ class PhaseSampler:
         Raises PhaseCoverageError for a window wider than the lattice.  For
         the whole lattice the values are the drawn grid itself; static
         spatial disorder draws its grid at the first request and hands the
-        same object to every later step.
+        same object to every later step.  A dynamical grid is not kept: it
+        lives only as long as the returned window.
         """
         cfg = self.config
         zeta = cfg.zeta
@@ -134,8 +137,11 @@ class PhaseSampler:
                 f"step {step} asks for phases on |i|,|j| <= {half_width}, "
                 f"but the lattice ends at {cfg.steps}"
             )
-        if self._grid is None or cfg.mode is DisorderMode.DYNAMICAL_SPATIAL:
+        grid = self._grid
+        if grid is None:
             size = 2 * cfg.steps + 1
-            self._grid = self.rng.uniform(-zeta, zeta, size=(size, size))
+            grid = self.rng.uniform(-zeta, zeta, size=(size, size))
+            if cfg.mode is DisorderMode.STATIC_SPATIAL:
+                self._grid = grid
         off = cfg.steps - half_width
-        return PhaseMatrix(self._grid[off:-off, off:-off] if off else self._grid)
+        return PhaseMatrix(grid[off:-off, off:-off] if off else grid)

@@ -5,6 +5,14 @@ result does not depend on scheduling.  Reduction walks fixed-size chunks of
 trajectory indices in ascending order; the chunk layout depends only on the
 index range, never on the worker count, so a run is bitwise reproducible
 for any number of workers.
+
+A chunk steps its trajectories in groups, each as one stack (see
+evolve.trajectory_windows).  The group width is derived from the step
+count, never set: as many trajectories as fit GROUP_BYTES of amplitudes.
+Each step's windows are added into the chunk's probability sum in
+trajectory order as they come, and each trajectory's variance row comes
+from the x and y marginals of its windows, so no per-trajectory
+(N+1, 2N+1, 2N+1) stack exists, and the width changes no bit.
 """
 
 from __future__ import annotations
@@ -15,14 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import Distribution2D, variance_series
+from .analysis import Distribution2D, marginal_variances, variance_series
 from .disorder import DisorderConfig
-from .errors import ConfigError, InvariantViolationError, TrajectoryFailure, check_unit_total
-from .evolve import run_trajectory
+from .errors import ConfigError, check_unit_total
+from .evolve import sublattice_sites, trajectory_windows
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
 CHUNK_SIZE = 32
+# amplitude bytes a group of trajectories may hold at its last step; about
+# 1 MB keeps a group's step temporaries small: 32 trajectories at N = 20,
+# 3 at N = 100 (one group of all 32 at N = 100 ran slower, with a 9%
+# higher peak RSS)
+GROUP_BYTES = 1 << 20
 
 
 @dataclass
@@ -53,23 +66,45 @@ class EnsembleResult:
                 for n, probs in enumerate(self.mean_probabilities)]
 
 
+def _group_width(n_steps: int) -> int:
+    """Trajectories stepped as one stack: as many as fit GROUP_BYTES of
+    amplitudes at the last step, at least 1 and at most CHUNK_SIZE."""
+    per_trajectory = 2 * 16 * (n_steps + 1) ** 2
+    return max(1, min(CHUNK_SIZE, GROUP_BYTES // per_trajectory))
+
+
 def _run_chunk(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Sum of probability stacks and per-trajectory variance rows for [start, stop)."""
+    """Sum of probability stacks and per-trajectory variance rows for [start, stop).
+
+    Trajectories run in groups of _group_width; each step's windows are
+    added into prob_sum in trajectory order, so the sum is the same for
+    any group width.  The variance rows come from each trajectory's x and y
+    marginals, built as variance_series builds them from a full stack: a
+    row sum runs over the whole zero-padded grid row, since numpy's
+    pairwise sum groups a shorter row differently, while a column sum adds
+    rows in order and may skip the zeros.
+    """
     config, start, stop = args
-    prob_sum = None
-    var_rows = np.empty((stop - start, config.steps + 1))
-    for k in range(start, stop):
-        try:
-            traj = run_trajectory(config, k)
-        except InvariantViolationError:
-            raise  # its message already names the trajectory and the step
-        except Exception as exc:
-            raise TrajectoryFailure(f"trajectory {k} failed: {exc}") from exc
-        if prob_sum is None:
-            prob_sum = traj.probabilities.copy()
-        else:
-            prob_sum += traj.probabilities
-        var_rows[k - start] = variance_series(traj.probabilities, traj.half_width)
+    n_steps = config.steps
+    size = 2 * n_steps + 1
+    prob_sum = np.zeros((n_steps + 1, size, size))
+    var_rows = np.empty((stop - start, n_steps + 1))
+    width = _group_width(n_steps)
+    for lo in range(start, stop, width):
+        hi = min(lo + width, stop)
+        px = np.zeros((hi - lo, n_steps + 1, size))
+        py = np.zeros((hi - lo, n_steps + 1, size))
+        for n, windows in trajectory_windows(config, lo, hi):
+            sites = sublattice_sites(n, size)
+            total = prob_sum[n, sites, sites]
+            for window in windows:
+                total += window
+            rows = np.zeros(windows.shape[:2] + (size,))
+            rows[..., sites] = windows
+            px[:, n, sites] = rows.sum(axis=2)
+            py[:, n, sites] = windows.sum(axis=1)
+        for b in range(hi - lo):
+            var_rows[lo - start + b] = marginal_variances(px[b], py[b], n_steps)
     return start, prob_sum, var_rows
 
 
@@ -95,26 +130,31 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
                   for a in range(traj_start, stop, CHUNK_SIZE)]
     workers = min(threads, len(chunk_args))
     if workers == 1:
-        chunk_results = [_run_chunk(args) for args in chunk_args]
+        prob_sum, per_traj_var = _sum_chunks(map(_run_chunk, chunk_args), traj_start)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_run_chunk, chunk_args))
+            prob_sum, per_traj_var = _sum_chunks(pool.map(_run_chunk, chunk_args), traj_start)
+    count = stop - traj_start
+    result = _finalize(config, [(traj_start, stop)], prob_sum / count, per_traj_var)
+    result.elapsed_seconds = time.perf_counter() - t0
+    return result
+
+
+def _sum_chunks(chunk_results, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Add up chunk results in chunk order, each as it arrives, so only the
+    running sum and one chunk's sum are held; returns the probability sum
+    and the per-trajectory variance rows from trajectory start on."""
     prob_sum = None
     var_blocks = []
-    expected_start = traj_start
-    for start, chunk_sum, var_rows in chunk_results:
-        assert start == expected_start, "chunk reduction out of order"
-        expected_start += len(var_rows)
+    for chunk_start, chunk_sum, var_rows in chunk_results:
+        assert chunk_start == start, "chunk reduction out of order"
+        start += len(var_rows)
         if prob_sum is None:
             prob_sum = chunk_sum
         else:
             prob_sum += chunk_sum
         var_blocks.append(var_rows)
-    count = stop - traj_start
-    per_traj_var = np.concatenate(var_blocks, axis=0)
-    result = _finalize(config, [(traj_start, stop)], prob_sum / count, per_traj_var)
-    result.elapsed_seconds = time.perf_counter() - t0
-    return result
+    return prob_sum, np.concatenate(var_blocks, axis=0)
 
 
 def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
@@ -143,8 +183,11 @@ def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
     """Combine partial ensembles over disjoint trajectory-index ranges.
 
     Partials must share an identical config; they are merged in ascending
-    index order regardless of list order, so the operation is associative
-    and deterministic.
+    index order regardless of list order, so the result does not depend on
+    the list order.  The merged means match a single run over the same
+    trajectories within 1e-12, but not bit for bit: summing partial totals
+    groups the additions differently from one run's chunk order (up to
+    3.6e-15 apart at R=128, N=8).
     """
     if not partials:
         raise ConfigError("nothing to merge")

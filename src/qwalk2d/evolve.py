@@ -11,7 +11,11 @@ module): shape (n + 1, n + 1, 2) after n steps, and an oracle rho of
 dimension 2 (n + 1)^2.  Step n takes every other phase of its window
 |i|, |j| <= n, a strided view of the whole-lattice draw.  One light-cone
 loop, _light_cone, runs both engines: after every step it checks the unit
-total and scatters the (n + 1)^2 probabilities onto the sites
+total and yields the (n + 1)^2 sublattice probabilities.  The trajectory
+engine steps a group of B trajectories as one (B, n + 1, n + 1, 2) stack
+(trajectory_windows); the ensemble streams those windows into its sums
+and never builds a per-trajectory stack.  run_trajectory is the B = 1
+case, and it and exact_run scatter the windows onto the sites
 i = j = n (mod 2) of a zeroed (N+1, 2N+1, 2N+1) stack.  The public step
 and exact_step_density run the same kernels on the full grid.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from .analysis import variance_series
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
-from .errors import ConfigError, UnsupportedModeError, check_unit_total
+from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
 from .state import (
     WalkState,
     _grow_x,
@@ -78,53 +82,78 @@ class TrajectoryResult:
     half_width: int
 
 
-def _scatter(grid: np.ndarray, window: np.ndarray) -> None:
-    """Write step n's (n + 1, n + 1) sublattice window onto the sites
-    i = j = n (mod 2), |i|, |j| <= n, of a centred square grid."""
-    n, centre = window.shape[0] - 1, grid.shape[0] // 2
-    sites = slice(centre - n, centre + n + 1, 2)
-    grid[sites, sites] = window
+def sublattice_sites(n: int, size: int) -> slice:
+    """The indices of i = n (mod 2), |i| <= n, along an axis of a centred
+    grid of size L: where step n's (n + 1)-site sublattice axis lands."""
+    centre = size // 2
+    return slice(centre - n, centre + n + 1, 2)
 
 
-def _light_cone(state, n_steps: int, advance, site_probabilities, what: str) -> np.ndarray:
-    """Per-step site probabilities of a sublattice state, shape
-    (n_steps + 1, L, L) with L = 2 n_steps + 1.  advance(state, n) returns
-    the state after step n, and the result is rebound, so the previous
-    state is freed.  A step whose total is not 1 raises
-    InvariantViolationError naming what and the step."""
-    size = 2 * n_steps + 1
-    probs = np.zeros((n_steps + 1, size, size), dtype=float)
-    _scatter(probs[0], site_probabilities(state))
+def _light_cone(state, n_steps: int, advance, site_probabilities, check):
+    """Yield (n, site_probabilities(state)) for n = 0..n_steps, starting from
+    a sublattice state.  advance(state, n) returns the state after step n,
+    and the result is rebound, so the previous state is freed.  check(window,
+    n) runs on every window after step 0 and raises
+    InvariantViolationError if its unit total fails."""
+    yield 0, site_probabilities(state)
     for n in range(1, n_steps + 1):
         state = advance(state, n)
         window = site_probabilities(state)
-        check_unit_total(window.sum(), f"{what} at step {n}")
-        _scatter(probs[n], window)
+        check(window, n)
+        yield n, window
+
+
+def _stacked(windows, n_steps: int) -> np.ndarray:
+    """The (n_steps + 1, L, L) stack, L = 2 n_steps + 1, of the (n, window)
+    pairs: each (n + 1, n + 1) window lands on step n's sublattice sites,
+    and every other site is 0.0."""
+    size = 2 * n_steps + 1
+    probs = np.zeros((n_steps + 1, size, size), dtype=float)
+    for n, window in windows:
+        sites = sublattice_sites(n, size)
+        probs[n, sites, sites] = window
     return probs
 
 
-def _sublattice_phases(phases: PhaseMatrix) -> PhaseMatrix:
-    """Step n's phases on its parity sublattice: every other site of the
-    window |i|, |j| <= n, as a strided view.  A scalar passes through."""
-    values = phases.values
-    return PhaseMatrix(values[::2, ::2]) if values.ndim else phases
+def trajectory_windows(config: DisorderConfig, start: int, stop: int):
+    """Yield (n, probs) for n = 0..config.steps, where probs[b] is the
+    (n + 1, n + 1) sublattice window of trajectory start + b after step n.
+
+    The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
+    sublattice stack.  Each keeps its own PhaseSampler, and step n takes
+    every other phase of its window |i|, |j| <= n.  Every operation acts
+    site by site, so each trajectory's bits do not depend on B.  A failing
+    unit total raises InvariantViolationError naming the first trajectory,
+    in index order, that fails at the first failing step; an exception from
+    a trajectory's sampler comes out as TrajectoryFailure naming it.
+    """
+    samplers = [PhaseSampler(config, k) for k in range(start, stop)]
+
+    def advance(state: WalkState, n: int) -> WalkState:
+        phases = np.empty((len(samplers), n + 1, n + 1))
+        for k, sampler in enumerate(samplers, start):
+            try:
+                values = sampler.phases_for_step(n, n).values
+            except Exception as exc:
+                raise TrajectoryFailure(f"trajectory {k} failed at step {n}: {exc}") from exc
+            # a scalar phase fills the whole window
+            phases[k - start] = values[::2, ::2] if values.ndim else values
+        return _step(state, PhaseMatrix(phases), sublattice=True)
+
+    def check(windows: np.ndarray, n: int) -> None:
+        for k, total in enumerate(windows.sum(axis=(1, 2)), start):
+            check_unit_total(total, f"trajectory {k}: norm at step {n}")
+
+    amps = np.repeat(initial_state(0).amps[np.newaxis], len(samplers), axis=0)
+    return _light_cone(WalkState(amps, 0), config.steps, advance, WalkState.probabilities, check)
 
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
-    """Run one realization for config.steps steps.
-
-    The state lives on the parity sublattice (see the module docstring),
-    and step n takes the phases of its window |i|, |j| <= n from the
-    sampler.
-    """
-    n_steps = config.steps
-    sampler = PhaseSampler(config, trajectory_index)
-    probs = _light_cone(
-        initial_state(0), n_steps,
-        lambda state, n: _step(state, _sublattice_phases(sampler.phases_for_step(n, n)),
-                               sublattice=True),
-        WalkState.probabilities, f"trajectory {trajectory_index}: norm")
-    return TrajectoryResult(probs, n_steps)
+    """Run one realization for config.steps steps: trajectory_windows for
+    the one trajectory, scattered onto the full grid."""
+    windows = trajectory_windows(config, trajectory_index, trajectory_index + 1)
+    return TrajectoryResult(_stacked(((n, w[0]) for n, w in windows), config.steps),
+                            config.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +287,10 @@ def exact_run(config: DisorderConfig) -> ExactRunResult:
             f"(dense density matrix), got {n_steps}"
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
-    probs = _light_cone(initial_density(0), n_steps,
-                        lambda dstate, n: _density_step(dstate, config, sublattice=True),
-                        DensityState.site_probabilities, "oracle trace")
+    windows = _light_cone(
+        initial_density(0), n_steps,
+        lambda dstate, n: _density_step(dstate, config, sublattice=True),
+        DensityState.site_probabilities,
+        lambda window, n: check_unit_total(window.sum(), f"oracle trace at step {n}"))
+    probs = _stacked(windows, n_steps)
     return ExactRunResult(config, probs, variance_series(probs, n_steps), n_steps)

@@ -70,6 +70,13 @@ def _checked(name: str, parse):
     return parse_and_check
 
 
+def _parse_threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def _parse_engine(text: str) -> str:
     if text not in ("trajectory", "exact"):
         raise ConfigError(f"unknown engine {text!r}")
@@ -85,8 +92,8 @@ class RunManifest:
     explicitly.  fit_n_hi and fit_d_hi default to steps and steps - 6 when
     left unset.  engine and schema have no flag: the subcommand sets engine.
     mode, zeta, steps, realizations and seed are checked as DisorderConfig
-    checks them, when parsed, so a bad value in a file is an error naming
-    the file.
+    checks them, and threads as run_ensemble does, when parsed, so a bad
+    value in a file is an error naming the file.
     """
 
     schema_version: int = _setting("schema", _parse_schema, MANIFEST_SCHEMA_VERSION)
@@ -104,7 +111,7 @@ class RunManifest:
         "64-bit master seed (required, never defaulted)")
     engine: str = _setting("engine", _parse_engine, "trajectory")
     threads: int | None = _setting(
-        "threads", int, None, "worker count; 1 is the serial reference path")
+        "threads", _parse_threads, None, "worker count; 1 is the serial reference path")
     out_dir: str = _setting("out_dir", str, "qwalk2d-out", "artifact directory")
     fit_n_lo: int = _setting("fit.n_lo", int, 10, "scaling fit window start (step index)")
     fit_n_hi: int | None = _setting("fit.n_hi", int, None, "scaling fit window end (default: steps)")

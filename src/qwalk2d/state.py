@@ -147,7 +147,8 @@ def apply_dephasing(state: WalkState, phases: PhaseMatrix) -> WalkState:
 
     The relative H-V phase at site (i, j) changes by exactly phi(i, j);
     site probabilities are untouched.  Raises PhaseCoverageError unless the
-    phases are a scalar or a grid of exactly the state's (L, L) shape.
+    phases are a scalar or an array of exactly the shape of amps without
+    its coin axis: (L, L) for one state, (B, L, L) for a stack of B.
 
     The amplitude is always the first factor.  Complex products round
     differently with the operands swapped, and numpy swaps them on its own
@@ -155,13 +156,15 @@ def apply_dephasing(state: WalkState, phases: PhaseMatrix) -> WalkState:
     make a site's result depend on the grid size.
     """
     values = phases.values
-    if values.ndim and values.shape != state.amps.shape[-3:-1]:
+    if values.ndim and values.shape != state.amps.shape[:-1]:
         raise PhaseCoverageError(
             f"phases of shape {values.shape} do not match the state's "
-            f"{state.grid_size}x{state.grid_size} grid"
+            f"sites, {state.amps.shape[:-1]}"
         )
-    half_turn = np.exp(-0.5j * values)
+    half_turn = np.asarray(-0.5j * values)
+    np.exp(half_turn, out=half_turn)
     out = np.empty_like(state.amps)
     np.multiply(state.amps[..., COIN_H], half_turn, out=out[..., COIN_H])
-    np.multiply(state.amps[..., COIN_V], np.conj(half_turn), out=out[..., COIN_V])
+    np.multiply(state.amps[..., COIN_V], np.conj(half_turn, out=half_turn),
+                out=out[..., COIN_V])
     return WalkState(out, state.half_width, state.step_count)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import qwalk2d.ensemble as ensemble
+import qwalk2d.evolve as evolve
 from qwalk2d import (
     ConfigError,
     DisorderConfig,
     DisorderMode,
     InvariantViolationError,
+    PhaseSampler,
     TrajectoryFailure,
     exact_run,
     merge_results,
@@ -68,16 +70,17 @@ class TestRunEnsemble:
             run_ensemble(config(realizations=8), traj_stop=9)
 
     def test_failing_trajectory_reports_its_index(self, monkeypatch):
-        import qwalk2d.ensemble as ens_mod
+        class FailingSampler(PhaseSampler):
+            def __init__(self, cfg, k):
+                super().__init__(cfg, k)
+                self.index = k
 
-        real = ens_mod.run_trajectory
+            def phases_for_step(self, step, half_width):
+                if self.index == 3:
+                    raise ValueError("synthetic")
+                return super().phases_for_step(step, half_width)
 
-        def boom(cfg, k):
-            if k == 3:
-                raise ValueError("synthetic")
-            return real(cfg, k)
-
-        monkeypatch.setattr(ens_mod, "run_trajectory", boom)
+        monkeypatch.setattr(evolve, "PhaseSampler", FailingSampler)
         with pytest.raises(TrajectoryFailure, match="trajectory 3"):
             run_ensemble(config(realizations=8))
 
@@ -93,9 +96,67 @@ class TestRunEnsemble:
             _finalize(cfg, [(0, 1)], mean, np.zeros((1, 3)))
 
 
+def reference_chunk(cfg, start, stop):
+    """The chunk reduction one trajectory at a time: run_trajectory's
+    stacks summed in index order, and variance_series of each."""
+    prob_sum = run_trajectory(cfg, start).probabilities
+    rows = [variance_series(prob_sum, cfg.steps)]
+    for k in range(start + 1, stop):
+        probs = run_trajectory(cfg, k).probabilities
+        prob_sum += probs
+        rows.append(variance_series(probs, cfg.steps))
+    return prob_sum, np.array(rows)
+
+
+class TestBatchedChunk:
+    """The grouped chunk must give the bits of the one-at-a-time reduction."""
+
+    def test_group_width_follows_the_step_count(self):
+        assert ensemble._group_width(20) == ensemble.CHUNK_SIZE == 32
+        assert ensemble._group_width(64) == 7
+        assert ensemble._group_width(100) == 3
+        assert ensemble._group_width(1000) == 1
+
+    # at N=64 the whole grid passes 16384 sites, where numpy starts to reuse
+    # temporaries; 9 trajectories make a group of 7 and a ragged one of 2
+    @pytest.mark.parametrize("mode,zeta", [(DisorderMode.NONE, 0.0),
+                                           (DisorderMode.DYNAMICAL_SPATIAL, math.pi),
+                                           (DisorderMode.STATIC_SPATIAL, 1.0),
+                                           (DisorderMode.DYNAMICAL_UNIFORM, math.pi)])
+    def test_chunk_matches_one_trajectory_at_a_time(self, mode, zeta):
+        cfg = config(mode, zeta, steps=64, realizations=9, seed=17)
+        start, prob_sum, var_rows = ensemble._run_chunk((cfg, 0, 9))
+        ref_sum, ref_rows = reference_chunk(cfg, 0, 9)
+        assert start == 0
+        np.testing.assert_array_equal(prob_sum, ref_sum)
+        np.testing.assert_array_equal(var_rows, ref_rows)
+
+    @pytest.mark.parametrize("group_bytes", [1, 1 << 40], ids=["width-1", "width-chunk"])
+    def test_group_width_changes_no_bit(self, monkeypatch, group_bytes):
+        cfg = config(steps=20, realizations=37, seed=5)
+        base = run_ensemble(cfg)
+        monkeypatch.setattr(ensemble, "GROUP_BYTES", group_bytes)
+        other = run_ensemble(cfg)
+        np.testing.assert_array_equal(other.mean_probabilities, base.mean_probabilities)
+        np.testing.assert_array_equal(other.per_trajectory_variances,
+                                      base.per_trajectory_variances)
+
+    def test_ragged_last_chunk_and_group(self):
+        # R=37 at N=20: chunks [0, 32) and [32, 37), the second one group of 5
+        cfg = config(steps=20, realizations=37, seed=424242)
+        ens = run_ensemble(cfg)
+        lo_sum, lo_rows = reference_chunk(cfg, 0, 32)
+        hi_sum, hi_rows = reference_chunk(cfg, 32, 37)
+        lo_sum += hi_sum
+        np.testing.assert_array_equal(ens.mean_probabilities, lo_sum / 37)
+        np.testing.assert_array_equal(ens.per_trajectory_variances,
+                                      np.concatenate([lo_rows, hi_rows]))
+
+
 class TestParallelDeterminism:
     def test_identical_results_for_1_2_4_8_workers(self):
-        cfg = config()
+        # R=70: three chunks, the last one ragged, so two workers share them
+        cfg = config(realizations=70)
         base = run_ensemble(cfg, threads=1)
         for threads in (2, 4, 8):
             other = run_ensemble(cfg, threads=threads)

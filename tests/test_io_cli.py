@@ -394,7 +394,8 @@ class TestCliBadFileLine:
              ("zeta = 9", "zeta must lie in [0, pi], got 9.0"),
              ("steps = 0", "steps must be >= 1, got 0"),
              ("realizations = 0", "realizations must be >= 1, got 0"),
-             ("seed = -1", "master_seed must be an unsigned 64-bit integer, got -1")]
+             ("seed = -1", "master_seed must be an unsigned 64-bit integer, got -1"),
+             ("threads = 0", "threads must be >= 1, got 0")]
 
     def bad_files(self, tmp_path):
         for k, (line, message) in enumerate(self.CASES):
@@ -417,11 +418,21 @@ class TestCliBadFileLine:
             assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "fits.json").exists()
 
+    def test_config_file_value_under_a_flag(self, tmp_path, capsys):
+        # the flag overrides the file's threads, yet the file's line is bad
+        path = tmp_path / "bad.cfg"
+        path.write_text("mode = none\nthreads = 0\n")
+        assert main(["run", "--config", str(path), "--seed", "1", "--steps", "3",
+                     "--threads", "1", "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"error: {path}: threads must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--mode", "bogus", "unknown mode 'bogus'"),
         ("--zeta", "9", "zeta must lie in [0, pi], got 9.0"),
         ("--steps", "0", "steps must be >= 1, got 0"),
         ("--realizations", "0", "realizations must be >= 1, got 0"),
+        ("--threads", "0", "threads must be >= 1, got 0"),
     ])
     def test_bad_flag_value_names_no_file(self, tmp_path, capsys, flag, value, message):
         argv = {"--mode": "none", "--seed": "1", "--out-dir": str(tmp_path / "x"), flag: value}
@@ -529,3 +540,27 @@ class TestCliExitCodes:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 4
         assert "invariant" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_amplitude_exits_4_naming_trajectory_and_step(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import qwalk2d.evolve as evolve_mod
+
+        class NanSampler(evolve_mod.PhaseSampler):
+            def __init__(self, config, k):
+                super().__init__(config, k)
+                self.index = k
+
+            def phases_for_step(self, step, half_width):
+                phases = super().phases_for_step(step, half_width)
+                if (self.index, step) == (5, 3):
+                    return type(phases)(np.full_like(phases.values, np.nan))
+                return phases
+
+        monkeypatch.setattr(evolve_mod, "PhaseSampler", NanSampler)
+        code = main(["run", "--mode", "dynamical-spatial", "--zeta", "pi", "--steps", "4",
+                     "--realizations", "8", "--seed", "1", "--threads", "1",
+                     "--out-dir", str(tmp_path / "x")])
+        assert code == 4
+        assert "trajectory 5: norm at step 3 is nan" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

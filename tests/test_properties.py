@@ -132,8 +132,9 @@ modes = st.sampled_from([mode.value for mode in DisorderMode])
 
 @st.composite
 def manifests(draw):
-    # mode, zeta, steps, realizations and seed hold only values DisorderConfig takes;
-    # the parsers reject the rest (TestManifestText.test_out_of_range_rejected)
+    # mode, zeta, steps, realizations and seed hold only values DisorderConfig takes,
+    # and threads only values run_ensemble takes; the parsers reject the rest
+    # (TestManifestText.test_out_of_range_rejected)
     return RunManifest(
         schema_version=1,
         mode=draw(st.none() | modes),
@@ -142,7 +143,7 @@ def manifests(draw):
         realizations=draw(counts),
         seed=draw(st.none() | st.integers(0, 2**64 - 1)),
         engine=draw(st.sampled_from(["trajectory", "exact"])),
-        threads=draw(st.none() | ints),
+        threads=draw(st.none() | counts),
         out_dir=draw(values),
         fit_n_lo=draw(ints),
         fit_n_hi=draw(st.none() | ints),
@@ -163,7 +164,8 @@ class TestManifestText:
             st.tuples(st.just("mode"), values.filter(
                 lambda v: v not in {m.value for m in DisorderMode})),
             st.tuples(st.just("zeta"), st.floats().filter(lambda z: not 0.0 <= z <= math.pi)),
-            st.tuples(st.sampled_from(["steps", "realizations"]), st.integers(-2**70, 0)),
+            st.tuples(st.sampled_from(["steps", "realizations", "threads"]),
+                      st.integers(-2**70, 0)),
             st.tuples(st.just("seed"), st.integers(-2**70, -1) | st.integers(2**64, 2**70)),
         ))
         pairs = parse_manifest_text(manifest_to_text(manifest))

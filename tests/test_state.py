@@ -160,6 +160,24 @@ class TestDephasing:
         with pytest.raises(PhaseCoverageError):
             PhaseSampler(cfg, 0).phases_for_step(1, 4)
 
+    def test_stack_of_grids_kicks_each_state(self, rng):
+        states = [random_state(rng) for _ in range(3)]
+        phases = [self.grid_phases(rng, 4) for _ in states]
+        stack = WalkState(np.stack([s.amps for s in states]), 4)
+        out = apply_dephasing(stack, PhaseMatrix(np.stack([p.values for p in phases])))
+        for b, (s, p) in enumerate(zip(states, phases)):
+            np.testing.assert_array_equal(out.amps[b], apply_dephasing(s, p).amps)
+
+    def test_stack_mismatch_is_a_hard_error(self, rng):
+        single = random_state(rng)
+        stack = WalkState(np.stack([single.amps] * 3), 4)
+        grid = self.grid_phases(rng, 4)
+        for state, values in ((stack, grid.values),
+                              (stack, np.stack([grid.values] * 2)),
+                              (single, np.stack([grid.values] * 3))):
+            with pytest.raises(PhaseCoverageError):
+                apply_dephasing(state, PhaseMatrix(values))
+
     def test_norm_preserved(self, rng):
         s = random_state(rng)
         out = apply_dephasing(s, self.grid_phases(rng, s.half_width))
