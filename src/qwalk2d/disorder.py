@@ -123,8 +123,10 @@ class PhaseSampler:
         Raises PhaseCoverageError for a window wider than the lattice.  For
         the whole lattice the values are the drawn grid itself; static
         spatial disorder draws its grid at the first request and hands the
-        same object to every later step.  A dynamical grid is not kept: it
-        lives only as long as the returned window.
+        same object to every later step.  A dynamical step draws only the
+        window's rows of its whole-lattice grid and advances the stream past
+        the rows above and below, so the stream ends where the whole draw
+        would have left it.
         """
         cfg = self.config
         zeta = cfg.zeta
@@ -137,11 +139,16 @@ class PhaseSampler:
                 f"step {step} asks for phases on |i|,|j| <= {half_width}, "
                 f"but the lattice ends at {cfg.steps}"
             )
-        grid = self._grid
-        if grid is None:
-            size = 2 * cfg.steps + 1
-            grid = self.rng.uniform(-zeta, zeta, size=(size, size))
-            if cfg.mode is DisorderMode.STATIC_SPATIAL:
-                self._grid = grid
+        size = 2 * cfg.steps + 1
         off = cfg.steps - half_width
-        return PhaseMatrix(grid[off:-off, off:-off] if off else grid)
+        if cfg.mode is DisorderMode.STATIC_SPATIAL:
+            if self._grid is None:
+                self._grid = self.rng.uniform(-zeta, zeta, size=(size, size))
+            rows = self._grid[off:size - off] if off else self._grid
+        else:
+            # uniform takes one 64-bit output per double, so skipping off
+            # rows of the whole-lattice draw is one advance by off * size
+            self.rng.bit_generator.advance(off * size)
+            rows = self.rng.uniform(-zeta, zeta, size=(size - 2 * off, size))
+            self.rng.bit_generator.advance(off * size)
+        return PhaseMatrix(rows[:, off:size - off] if off else rows)

@@ -4,6 +4,13 @@ Formats are deliberately boring: a flat `key = value` config file, one CSV
 per artifact kind, a schema-versioned JSON result document, and a
 hand-written SVG heatmap.  Everything is emitted with deterministic
 formatting so identical runs produce byte-identical files.
+
+The distributions CSV is the one artifact read back (by `qwalk2d fit`).
+A file made of the bytes the writer emits is parsed once by np.loadtxt and
+checked on whole columns; any other file, and any file that fails a check,
+is read again by the row-by-row parser, which alone words a bad row's
+error.  So both paths accept the same files, with the same values, and
+reject the same files with the same messages.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field, fields
+from io import BytesIO
 from itertools import chain
 from pathlib import Path
 
@@ -222,17 +230,67 @@ def write_distribution_csv(dists, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_distribution_csv(path) -> list[Distribution2D]:
-    """Read distributions back; steps must be contiguous from 0, each
-    (step, i, j) may appear once with |i|, |j| <= step, where a walk can
-    be, and no p may be negative."""
+_CSV_HEADER = "step,i,j,p"
+_CSV_ROW = np.dtype([("step", "i8"), ("i", "i8"), ("j", "i8"), ("p", "f8")])
+# the bytes of a file body the fast path parses: everything the writer emits,
+# plus spaces, tabs and CRLF.  np.loadtxt reads some other bytes where int()
+# and float() do not (\x1c-\x1f as spaces, and non-ASCII bytes as latin-1
+# even where they are not valid text), so a file holding any other byte is
+# read row by row.
+_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _parsed_columns(path):
+    """The step, i, j and p columns of a file that _checked_columns would
+    accept, parsed at C speed and checked on whole arrays; None when the
+    header, a byte, the parser or any check fails.  It words no error: the
+    caller then runs _checked_columns, which does."""
+    header, _, body = Path(path).read_bytes().partition(b"\n")
+    if header.rstrip(b"\r") != _CSV_HEADER.encode() or body.translate(None, _FAST_BYTES):
+        return None
+    if not body.strip():  # no rows, on which np.loadtxt would warn
+        return None
+    try:
+        rows = np.loadtxt(BytesIO(body), delimiter=",", comments=None, quotechar=None,
+                          ndmin=1, dtype=_CSV_ROW)
+    except ValueError:
+        return None
+    step, i, j, p = (rows[name] for name in _CSV_ROW.names)
+    if step.min() != 0 or (p < 0).any():
+        return None
+    # steps are >= 0 from here on, so -step cannot overflow (np.abs can)
+    if ((i < -step) | (i > step) | (j < -step) | (j > step)).any():
+        return None
+    s, u, v = step, i, j
+    if not _strictly_increasing(s, u, v):  # the writer emits rows in key order
+        order = np.lexsort((v, u, s))
+        s, u, v = s[order], u[order], v[order]
+        if not _strictly_increasing(s, u, v):  # a repeated (step, i, j)
+            return None
+    if s[-1] != np.count_nonzero(s[1:] != s[:-1]):  # a step is missing
+        return None
+    return step, i, j, p
+
+
+def _strictly_increasing(s, u, v) -> bool:
+    """Whether each row's key (s, u, v) is lexically greater than the one before."""
+    later = v[1:] > v[:-1]
+    for a in (u, s):
+        later = (a[1:] > a[:-1]) | (a[1:] == a[:-1]) & later
+    return bool(later.all())
+
+
+def _checked_columns(path):
+    """The columns of read_distribution_csv, parsed and checked row by row;
+    it words the first fault it meets as a ConfigError naming the file and
+    the line."""
     rows = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
-            if header != ["step", "i", "j", "p"]:
-                raise ConfigError(f"{path}: expected header step,i,j,p, got {header}")
+            if header != _CSV_HEADER.split(","):
+                raise ConfigError(f"{path}: expected header {_CSV_HEADER}, got {header}")
             for row in reader:
                 if not row:
                     continue  # blank line
@@ -268,15 +326,36 @@ def read_distribution_csv(path) -> list[Distribution2D]:
     steps = np.unique(keys[:, 0])
     if not np.array_equal(steps, np.arange(len(steps))):
         raise ConfigError(f"{path}: steps are not contiguous from 0: {steps.tolist()}")
-    half_width = max(int(np.abs(keys[:, 1:]).max()), 1)
+    return (*keys.T, np.fromiter(rows.values(), float, len(rows)))
+
+
+def read_distribution_csv(path) -> list[Distribution2D]:
+    """Read distributions back from rows `step,i,j,p` under the header
+    `step,i,j,p`.  Blank lines are skipped; there are no comments.  Steps
+    must be contiguous from 0, each (step, i, j) may appear once with
+    |i|, |j| <= step, where a walk can be, and no p may be negative.  A
+    ConfigError names the file, and the line of a bad row.
+
+    A valid file is parsed once at C speed (_parsed_columns); only a file
+    that fails there is read again row by row, which words the error.
+    """
+    columns = _parsed_columns(path)
+    step, i, j, p = _checked_columns(path) if columns is None else columns
+    n_steps = int(step.max()) + 1
+    half_width = max(int(np.abs(i).max()), int(np.abs(j).max()), 1)
     size = 2 * half_width + 1
-    grids = np.zeros((len(steps), size, size))
-    grids[keys[:, 0], keys[:, 1] + half_width, keys[:, 2] + half_width] = \
-        np.fromiter(rows.values(), float, len(rows))
+    try:
+        grids = np.zeros((n_steps, size, size))
+    except (MemoryError, ValueError):  # ValueError: the byte count passes 2**63
+        raise ConfigError(
+            f"{path}: {n_steps} steps on |i|, |j| <= {half_width} need a "
+            f"{n_steps} x {size} x {size} grid stack, which cannot be allocated"
+        ) from None
+    grids[step, i + half_width, j + half_width] = p
     dists = []
-    for step in range(len(steps)):
-        check_unit_total(grids[step].sum(), f"{path}: distribution sum at step {step}")
-        dists.append(Distribution2D(grids[step], half_width, step))
+    for n in range(n_steps):
+        check_unit_total(grids[n].sum(), f"{path}: distribution sum at step {n}")
+        dists.append(Distribution2D(grids[n], half_width, n))
     return dists
 
 

@@ -1,12 +1,24 @@
-"""Independent brute-force reference walker for cross-checking the engine.
+"""Independent brute-force reference walker for cross-checking the engine,
+and the row-by-row distributions CSV reader.
 
-Deliberately naive: a dict keyed by site holding (aH, aV) pairs, evolved
-with plain Python loops.  Shares no code with the package, so agreement is
-meaningful.
+The walker is deliberately naive: a dict keyed by site holding (aH, aV)
+pairs, evolved with plain Python loops.  It shares no code with the
+package, so agreement is meaningful.
+
+read_distribution_csv is the reader as it was before the package parsed
+the CSV at C speed, kept verbatim.  It uses the package's Distribution2D
+and error types only so that its results and messages compare directly.
 """
 
 import cmath
+import csv
 import math
+from itertools import chain
+
+import numpy as np
+
+from qwalk2d.analysis import Distribution2D
+from qwalk2d.errors import ConfigError, check_unit_total
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -86,3 +98,61 @@ def ref_run(n_steps, phase_for_step=None):
         amps = ref_step(amps, phase_at)
         history.append(amps)
     return history
+
+
+def read_distribution_csv(path) -> list[Distribution2D]:
+    """Read distributions back; steps must be contiguous from 0, each
+    (step, i, j) may appear once with |i|, |j| <= step, where a walk can
+    be, and no p may be negative."""
+    rows = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header != ["step", "i", "j", "p"]:
+                raise ConfigError(f"{path}: expected header step,i,j,p, got {header}")
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                try:
+                    step, i, j, p = row
+                    step, i, j, p = int(step), int(i), int(j), float(p)
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: expected integers step,i,j "
+                        f"and a float p, got {row}"
+                    ) from None
+                key = (step, i, j)
+                if p < 0:
+                    raise ConfigError(f"{path}: line {reader.line_num}: negative p = {p!r}")
+                if key in rows:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: repeats step {step}, site ({i}, {j})"
+                    )
+                if abs(i) > step or abs(j) > step:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: site ({i}, {j}) "
+                        f"lies outside |i|, |j| <= step {step}"
+                    )
+                rows[key] = p
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    try:
+        keys = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows)).reshape(-1, 3)
+    except OverflowError:
+        raise ConfigError(f"{path}: a step does not fit in 64 bits") from None
+    steps = np.unique(keys[:, 0])
+    if not np.array_equal(steps, np.arange(len(steps))):
+        raise ConfigError(f"{path}: steps are not contiguous from 0: {steps.tolist()}")
+    half_width = max(int(np.abs(keys[:, 1:]).max()), 1)
+    size = 2 * half_width + 1
+    grids = np.zeros((len(steps), size, size))
+    grids[keys[:, 0], keys[:, 1] + half_width, keys[:, 2] + half_width] = \
+        np.fromiter(rows.values(), float, len(rows))
+    dists = []
+    for step in range(len(steps)):
+        check_unit_total(grids[step].sum(), f"{path}: distribution sum at step {step}")
+        dists.append(Distribution2D(grids[step], half_width, step))
+    return dists

@@ -180,3 +180,25 @@ class TestPhaseGeneration:
             b.phases_for_step(n, 5)
         for want, got in zip(expected, interleaved):
             np.testing.assert_array_equal(want, got)
+
+
+class TestDynamicalWindowDraw:
+    """A dynamical-spatial step draws only its window's rows and skips the
+    rest of the stream, so it must read as the centre of a whole-lattice
+    draw, and leave the stream where that draw would."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 20, 100])
+    def test_window_is_the_centre_of_a_fresh_whole_lattice_draw(self, n_steps):
+        cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, steps=n_steps, seed=11)
+        size = 2 * n_steps + 1
+        # the engine's widths (step n asks for n), then every width in reverse
+        for widths in (range(n_steps + 1), range(n_steps, -1, -1)):
+            sampler = PhaseSampler(cfg, 3)
+            whole = trajectory_rng(cfg.master_seed, 3)
+            for n, h in enumerate(widths, start=1):
+                grid = whole.uniform(-math.pi, math.pi, size=(size, size))
+                lo, hi = n_steps - h, n_steps + h + 1
+                got = sampler.phases_for_step(n, h).values
+                assert got.shape == (2 * h + 1, 2 * h + 1)
+                assert got.tobytes() == grid[lo:hi, lo:hi].tobytes()
+            assert sampler.rng.random() == whole.random()

@@ -11,6 +11,7 @@ from qwalk2d.cli import main
 from qwalk2d.errors import ConfigError
 from qwalk2d.io import (
     RunManifest,
+    _parsed_columns,
     build_result_document,
     manifest_from_pairs,
     manifest_to_text,
@@ -22,6 +23,7 @@ from qwalk2d.io import (
     write_distribution_csv,
     write_result_json,
 )
+from reference import read_distribution_csv as reference_read_distribution_csv
 from reference import ref_probs, ref_run, ref_variance
 
 FIRST_STEP = {(-1, -1): 0.25, (-1, 1): 0.25, (1, -1): 0.25, (1, 1): 0.25}
@@ -139,6 +141,23 @@ class TestDistributionCsv:
         path.write_text("step,i,j,p\n0,0,0,1.0\n2,0,0,1.0\n")
         with pytest.raises(ConfigError):
             read_distribution_csv(path)
+
+    def test_extreme_floats_round_trip_bit_for_bit(self, tmp_path):
+        dists = [make_dist({(0, 0): 1.0}, 2, step=0),
+                 make_dist({(-1, -1): 5e-324, (-1, 1): 1e-300, (1, -1): 0.1 + 0.2,
+                            (1, 1): 0.7}, 2, step=1),
+                 make_dist({(0, 0): 1 - 2**-53, (2, -2): 2**-53}, 2, step=2)]
+        path = tmp_path / "d.csv"
+        write_distribution_csv(dists, path)
+        # the writer's own output takes the parse at C speed
+        assert _parsed_columns(path) is not None
+        back = read_distribution_csv(path)
+        assert [d.step for d in back] == [0, 1, 2]
+        for want, got in zip(dists, back):
+            assert got.half_width == 2
+            assert got.probs.tobytes() == want.probs.tobytes()
+        for want, got in zip(back, reference_read_distribution_csv(path)):
+            assert got.probs.tobytes() == want.probs.tobytes()
 
 
 class TestResultJson:
@@ -341,6 +360,23 @@ class TestCliFitInput:
         path.write_text("step,i,j,p\n99999999999999999999,0,0,1.0\n")
         assert main(["fit", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_steps", [20_001, 700_001])
+    def test_grid_stack_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
+                                                                 n_steps):
+        # every row is valid, but the last one widens the grid to the last
+        # step: 20,001 steps need a 2.6e14-byte stack, more than the 128 TiB
+        # user address space of x86-64 and than any machine's memory; at
+        # 700,001 steps the byte count passes 2**63 and numpy refuses the shape
+        last = n_steps - 1
+        path = tmp_path / "d.csv"
+        path.write_text("step,i,j,p\n" + "".join(f"{s},0,0,1.0\n" for s in range(last))
+                        + f"{last},{last},0,1.0\n")
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        size = 2 * last + 1
+        assert str(path) in err and f"{n_steps} x {size} x {size} grid stack" in err
+        assert not (tmp_path / "fits.json").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_probability_exits_4(self, run_dir, capsys, bad):

@@ -1,6 +1,7 @@
 """Property tests: the walk unitary that both engines share, the phase
-window a step is handed, the manifest text format, zeta parsing, and
-`qwalk2d fit` on arbitrary manifest text."""
+window a step is handed, the manifest text format, zeta parsing,
+`qwalk2d fit` on arbitrary manifest text, and the distributions CSV reader
+against the row-by-row reader it replaced."""
 
 import math
 
@@ -14,6 +15,7 @@ from qwalk2d import (
     COIN_V,
     ConfigError,
     DensityState,
+    Distribution2D,
     DisorderConfig,
     DisorderMode,
     PhaseMatrix,
@@ -29,12 +31,16 @@ from qwalk2d.cli import main
 from qwalk2d.state import _grow_x, _grow_y
 from qwalk2d.io import (
     RunManifest,
+    _parsed_columns,
     manifest_from_pairs,
     manifest_to_text,
     parse_manifest_text,
     parse_zeta,
+    read_distribution_csv,
+    write_distribution_csv,
 )
 from conftest import random_state
+from reference import read_distribution_csv as reference_read_distribution_csv
 
 seeds = st.integers(0, 2**32 - 1)
 half_widths = st.integers(1, 4)
@@ -236,3 +242,104 @@ class TestFitManifestText:
         code = main(["fit", str(fit_dir / "distributions.csv"), "--manifest", str(manifest),
                      "--out", str(fit_dir / "fits.json")])
         assert code in (0, 2, 3)
+
+
+# edits of the text of one field, on any line
+FIELD_EDITS = {
+    "spaces": lambda f: f" {f} ",
+    "tab": lambda f: f"\t{f}",
+    "plus": lambda f: "+" + f,
+    "underscore": lambda f: f[:1] + "_" + f[1:],
+    "quotes": lambda f: f'"{f}"',
+    "point zero": lambda f: f + ".0",
+    "empty": lambda f: "",
+    # np.loadtxt reads these where int() and float() do not: an ASCII
+    # separator, and the byte 0xa0, which is no UTF-8 but is a latin-1 space
+    # (written through surrogateescape)
+    "file separator": lambda f: f + "\x1c",
+    "byte 0xa0": lambda f: f + "\udca0",
+}
+
+
+def _set(column, value):
+    """A line edit that sets one column of line k (a line that has it)."""
+    def edit(lines, k, m):
+        fields = lines[k].split(",")
+        if column < len(fields):
+            fields[column] = value(fields[column])
+        return lines[:k] + [",".join(fields)] + lines[k + 1:]
+    return edit
+
+
+# edits of the lines: each takes the lines and two line positions
+LINE_EDITS = {
+    "blank line": lambda lines, k, m: lines[:k] + [""] + lines[k:],
+    "space line": lambda lines, k, m: lines[:k] + [" "] + lines[k:],
+    "tab line": lambda lines, k, m: lines[:k] + ["\t"] + lines[k:],
+    "repeat": lambda lines, k, m: lines[:m] + lines[k:k + 1] + lines[m:],
+    "swap": lambda lines, k, m: [lines[m] if n == k else lines[k] if n == m else line
+                                 for n, line in enumerate(lines)],
+    "reverse": lambda lines, k, m: lines[:1] + lines[:0:-1],
+    "delete": lambda lines, k, m: lines[:k] + lines[k + 1:],
+    "extra field": lambda lines, k, m: lines[:k] + [lines[k] + ",7"] + lines[k + 1:],
+    "missing field": lambda lines, k, m: lines[:k] + [lines[k].rsplit(",", 1)[0]] + lines[k + 1:],
+    "carriage return": lambda lines, k, m: lines[:k] + [lines[k] + "\r"] + lines[k + 1:],
+    "later step": _set(0, lambda f: "9"),
+    "negative step": _set(0, lambda f: "-1"),
+    "i outside": _set(1, lambda f: "9"),
+    "j outside": _set(2, lambda f: "-9"),
+    "i at int64 min": _set(1, lambda f: str(-2**63)),
+    "negative p": _set(3, lambda f: "-" + f),
+    "nan p": _set(3, lambda f: "nan"),
+    "inf p": _set(3, lambda f: "inf"),
+}
+
+
+class TestDistributionCsvReader:
+    """read_distribution_csv against the row-by-row reader it replaced
+    (reference.py): on any file, both return the same grids and half widths,
+    or raise the same error with the same message."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("csv") / "d.csv"
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            dists = reader(path)
+        except Exception as exc:  # any error: its type and message are compared
+            return type(exc), str(exc)
+        return [(d.step, d.half_width, d.probs.tobytes()) for d in dists]
+
+    @settings(deadline=None, max_examples=500)
+    @given(seed=seeds, n_steps=st.integers(0, 3), data=st.data())
+    def test_mutated_files_read_as_the_row_loop_reads_them(self, csv_path, seed, n_steps, data):
+        rng = np.random.default_rng(seed)
+        size = 2 * n_steps + 1
+        dists = []
+        for n in range(n_steps + 1):
+            probs = np.zeros((size, size))
+            lo, hi = n_steps - n, n_steps + n + 1
+            probs[lo:hi, lo:hi] = rng.random((2 * n + 1, 2 * n + 1)) ** 4
+            probs[n_steps, n_steps] += 0.01  # never empty
+            dists.append(Distribution2D(probs / probs.sum(), n_steps, n))
+        write_distribution_csv(dists, csv_path)
+        assert _parsed_columns(csv_path) is not None  # the writer's output takes the fast path
+        lines = csv_path.read_text().splitlines()
+        edits = data.draw(st.lists(st.sampled_from(sorted(FIELD_EDITS) + sorted(LINE_EDITS)),
+                                   min_size=1, max_size=2))
+        for edit in edits:
+            if not lines:
+                break
+            # line 0 is the header, which the edits may hit too
+            k, m = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if edit in FIELD_EDITS:
+                column = data.draw(st.integers(0, lines[k].count(",")))
+                lines = _set(column, FIELD_EDITS[edit])(lines, k, m)
+            else:
+                lines = LINE_EDITS[edit](lines, k, m)
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        csv_path.write_bytes((end.join(lines) + end).encode("utf-8", "surrogateescape"))
+        assert (self.outcome(read_distribution_csv, csv_path)
+                == self.outcome(reference_read_distribution_csv, csv_path))
