@@ -39,7 +39,6 @@ from .evolve import (
     initial_density,
     run_trajectory,
     same_site_coherence_factor,
-    step,
 )
 from .state import (
     COIN_H,
@@ -89,7 +88,6 @@ __all__ = [
     "run_ensemble",
     "run_trajectory",
     "same_site_coherence_factor",
-    "step",
     "trajectory_rng",
     "variance_series",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError
+from .errors import AnalysisError, ConfigError
 
 # below this, the total spread of a log series counts as exactly flat
 _FLAT_EPS = 1e-30
@@ -59,6 +59,19 @@ class AxisCuts:
     coords: np.ndarray
     along_x: np.ndarray
     along_y: np.ndarray
+
+
+def grid_stack(n_steps: int, half_width: int) -> np.ndarray:
+    """A zeroed (n_steps, L, L) stack of site grids, L = 2 half_width + 1;
+    a ConfigError naming the shape if it cannot be allocated."""
+    size = 2 * half_width + 1
+    try:
+        return np.zeros((n_steps, size, size))
+    except (MemoryError, ValueError):  # ValueError: the byte count passes 2**63
+        raise ConfigError(
+            f"{n_steps} steps on |i|, |j| <= {half_width} need a "
+            f"{n_steps} x {size} x {size} grid stack, which cannot be allocated"
+        ) from None
 
 
 def site_coordinates(half_width: int) -> np.ndarray:

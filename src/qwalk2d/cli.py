@@ -3,11 +3,15 @@
 Subcommands: `run` simulates an ensemble with the trajectory engine and
 analyzes it, `oracle` runs the exact averaged-channel evolver on a small
 lattice, `fit` re-analyzes stored distribution CSVs without re-simulating.
-The subcommand picks the engine; each other RunManifest setting has a flag
-named after its config key (`fit.n_lo` is `--fit-n-lo`; `fit` takes only the
-`fit.*` ones).  Exit codes: 0 success, 2 bad configuration (a malformed
-file line or value, schema not 1, engine neither trajectory nor exact), 3
-I/O failure, 4 violated numerical invariant.
+The subcommand picks the engine, that is the runner (run_ensemble or
+exact_run); both return a WalkResult, and one path writes its artifacts.
+All three subcommands end in one tail, _fit_and_write, which fits V(n)
+and the final distribution and writes the result document.  Each other
+RunManifest setting has a flag named after its config key (`fit.n_lo` is
+`--fit-n-lo`; `fit` takes only the `fit.*` ones).  Exit codes: 0 success,
+2 bad configuration (a malformed file line or value, schema not 1, engine
+neither trajectory nor exact, a grid stack too large to allocate), 3 I/O
+failure, 4 violated numerical invariant.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import (
     Distribution2D,
@@ -41,7 +43,7 @@ from .io import (
     RunManifest,
     build_result_document,
     manifest_from_pairs,
-    read_distribution_csv,
+    read_distribution_stack,
     read_manifest_pairs,
     render_heatmap_svg,
     write_distribution_csv,
@@ -80,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_setting_flags(p)
         p.add_argument("--log-heatmap", action="store_true",
                        help="use a log color scale in the heatmap")
-    run_p.set_defaults(handler=_cmd_run, engine="trajectory")
-    oracle_p.set_defaults(handler=_cmd_run, engine="exact")
+    run_p.set_defaults(handler=_cmd_run, engine="trajectory", runner=run_ensemble)
+    oracle_p.set_defaults(handler=_cmd_run, engine="exact",
+                          runner=lambda config, threads: exact_run(config))
 
     fit_p = sub.add_parser("fit", help="re-analyze a stored distribution CSV")
     fit_p.add_argument("distributions", help="distributions.csv produced by a run")
@@ -102,7 +105,10 @@ def _flag_pairs(args) -> dict[str, str]:
     return pairs
 
 
-def _compute_fits(variances, final_dist, manifest: RunManifest):
+def _fit_and_write(path, manifest: RunManifest, engine: str, config, variances, stderrs,
+                   final_dist: Distribution2D) -> None:
+    """Fit the variance series and the final distribution's axis cuts in
+    the manifest's windows, and write the result document to path."""
     n_lo, n_hi, d_lo, d_hi = manifest.resolved_fit_windows()
     try:
         scaling = fit_scaling_exponent(variances, n_lo, n_hi)
@@ -115,7 +121,10 @@ def _compute_fits(variances, final_dist, manifest: RunManifest):
             fits[name] = fit_localization(cuts.coords, profile, d_lo, d_hi)
         except AnalysisError as exc:
             fits[name] = {"error": str(exc)}
-    return scaling, fits["x"], fits["y"]
+    document = build_result_document(engine=engine, config=config, variances=variances,
+                                     stderrs=stderrs, scaling=scaling,
+                                     localization_x=fits["x"], localization_y=fits["y"])
+    write_result_json(document, path)
 
 
 def _cmd_run(args) -> int:
@@ -124,60 +133,34 @@ def _cmd_run(args) -> int:
     manifest.engine = args.engine  # the subcommand picks it; a file's engine is only checked
     config = manifest.disorder_config()
     threads = manifest.threads if manifest.threads is not None else (os.cpu_count() or 1)
-    if manifest.engine == "trajectory":
-        result = run_ensemble(config, threads=threads)
-        dists = result.distributions()
-        variances = result.variances
-        stderrs = result.variance_stderr
-    else:
-        exact = exact_run(config)
-        # negligible negative rounding from the channel is clipped so
-        # downstream log fits and CSV writers see clean probabilities
-        dists = [
-            Distribution2D(exact.probabilities[n].clip(min=0.0), exact.half_width, n)
-            for n in range(len(exact.probabilities))
-        ]
-        variances = exact.variances
-        stderrs = None
-
-    scaling, loc_x, loc_y = _compute_fits(variances, dists[-1], manifest)
-    document = build_result_document(engine=manifest.engine, config=config,
-                                     variances=variances, stderrs=stderrs,
-                                     scaling=scaling, localization_x=loc_x,
-                                     localization_y=loc_y)
+    result = args.runner(config, threads)
+    dists = result.distributions()
 
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(manifest, out_dir / "manifest.cfg")
     write_distribution_csv(dists, out_dir / "distributions.csv")
-    write_variance_csv(variances, stderrs, out_dir / "variance.csv")
-    write_result_json(document, out_dir / "result.json")
+    write_variance_csv(result.variances, result.variance_stderr, out_dir / "variance.csv")
+    _fit_and_write(out_dir / "result.json", manifest, manifest.engine, config,
+                   result.variances, result.variance_stderr, dists[-1])
     render_heatmap_svg(dists[-1], out_dir / "heatmap.svg", log_scale=args.log_heatmap)
 
-    final_v = float(variances[-1])
-    print(f"V({config.steps}) = {final_v!r}")
+    print(f"V({config.steps}) = {float(result.variances[-1])!r}")
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
-    dists = read_distribution_csv(args.distributions)
+    grids, half_width = read_distribution_stack(args.distributions)
     pairs = read_manifest_pairs(args.manifest) if args.manifest else {}
     config = manifest_from_pairs(pairs).disorder_config() if args.manifest else None
     manifest = manifest_from_pairs({**pairs, **_flag_pairs(args)})
     # the fit windows default from the stored steps (0 for a lone step 0),
     # not the manifest's
-    manifest.steps = len(dists) - 1
-
-    stack = np.stack([d.probs for d in dists])
-    variances = variance_series(stack, dists[0].half_width)
-    scaling, loc_x, loc_y = _compute_fits(variances, dists[-1], manifest)
-    document = build_result_document(engine="refit", config=config,
-                                     variances=variances, stderrs=None,
-                                     scaling=scaling, localization_x=loc_x,
-                                     localization_y=loc_y)
+    manifest.steps = len(grids) - 1
     out = Path(args.out) if args.out else Path(args.distributions).parent / "fits.json"
-    write_result_json(document, out)
+    _fit_and_write(out, manifest, "refit", config, variance_series(grids, half_width), None,
+                   Distribution2D(grids[-1], half_width, manifest.steps))
     print(f"fits written to {out}")
     return EXIT_OK
 

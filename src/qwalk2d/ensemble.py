@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import Distribution2D, marginal_variances, variance_series
+from .analysis import grid_stack, marginal_variances, variance_series
 from .disorder import DisorderConfig
 from .errors import ConfigError, check_unit_total
-from .evolve import sublattice_sites, trajectory_windows
+from .evolve import WalkResult, sublattice_sites, trajectory_windows
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
@@ -39,31 +39,18 @@ GROUP_BYTES = 1 << 20
 
 
 @dataclass
-class EnsembleResult:
-    """Averaged distributions and variance series of a trajectory ensemble.
+class EnsembleResult(WalkResult):
+    """A WalkResult whose probabilities are the ensemble averages of the
+    trajectories in traj_ranges, plus what merge_results needs to combine
+    it with others: those ranges and each trajectory's variance series."""
 
-    mean_probabilities[n] is the ensemble-averaged (L, L) site grid after n
-    steps; variances[n] is the variance of that averaged distribution (the
-    figure-of-merit series), and variance_stderr[n] the standard error
-    estimated from the per-trajectory variance spread (a diagnostic).
-    """
-
-    config: DisorderConfig
     traj_ranges: list[tuple[int, int]]
-    half_width: int
-    mean_probabilities: np.ndarray
-    variances: np.ndarray
-    variance_stderr: np.ndarray
     per_trajectory_variances: np.ndarray
     elapsed_seconds: float = field(default=0.0, compare=False)
 
     @property
     def trajectory_count(self) -> int:
         return sum(stop - start for start, stop in self.traj_ranges)
-
-    def distributions(self) -> list[Distribution2D]:
-        return [Distribution2D(probs, self.half_width, n)
-                for n, probs in enumerate(self.mean_probabilities)]
 
 
 def _group_width(n_steps: int) -> int:
@@ -87,7 +74,7 @@ def _run_chunk(args) -> tuple[int, np.ndarray, np.ndarray]:
     config, start, stop = args
     n_steps = config.steps
     size = 2 * n_steps + 1
-    prob_sum = np.zeros((n_steps + 1, size, size))
+    prob_sum = grid_stack(n_steps + 1, n_steps)
     var_rows = np.empty((stop - start, n_steps + 1))
     width = _group_width(n_steps)
     for lo in range(start, stop, width):
@@ -114,7 +101,9 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
 
     Chunks fan out to min(threads, chunks) worker processes; one worker
     runs serially in-process (the reference path).  Either way the
-    reduction order is fixed, so the stored numbers are identical.
+    reduction order is fixed, so the stored numbers are identical.  The
+    mean stack is allocated first, so a walk too long to hold fails with
+    a ConfigError before any trajectory runs or worker starts.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -126,6 +115,7 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
             f"trajectory range [{traj_start}, {stop}) exceeds realizations={config.realizations}"
         )
     t0 = time.perf_counter()
+    mean_probs = grid_stack(config.steps + 1, config.steps)
     chunk_args = [(config, a, min(a + CHUNK_SIZE, stop))
                   for a in range(traj_start, stop, CHUNK_SIZE)]
     workers = min(threads, len(chunk_args))
@@ -134,8 +124,8 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             prob_sum, per_traj_var = _sum_chunks(pool.map(_run_chunk, chunk_args), traj_start)
-    count = stop - traj_start
-    result = _finalize(config, [(traj_start, stop)], prob_sum / count, per_traj_var)
+    np.divide(prob_sum, stop - traj_start, out=mean_probs)
+    result = _finalize(config, [(traj_start, stop)], mean_probs, per_traj_var)
     result.elapsed_seconds = time.perf_counter() - t0
     return result
 
@@ -159,24 +149,15 @@ def _sum_chunks(chunk_results, start: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
               mean_probs: np.ndarray, per_traj_var: np.ndarray) -> EnsembleResult:
-    half_width = config.steps
     count = per_traj_var.shape[0]
     for n, total in enumerate(mean_probs.sum(axis=(1, 2))):
         check_unit_total(total, f"averaged distribution sum at step {n}")
-    variances = variance_series(mean_probs, half_width)
     if count > 1:
         stderr = per_traj_var.std(axis=0, ddof=1) / np.sqrt(count)
     else:
         stderr = np.zeros(per_traj_var.shape[1])
-    return EnsembleResult(
-        config=config,
-        traj_ranges=ranges,
-        half_width=half_width,
-        mean_probabilities=mean_probs,
-        variances=variances,
-        variance_stderr=stderr,
-        per_trajectory_variances=per_traj_var,
-    )
+    return EnsembleResult(config, mean_probs, variance_series(mean_probs, config.steps),
+                          stderr, ranges, per_traj_var)
 
 
 def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
@@ -208,7 +189,7 @@ def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
             else:
                 ranges.append((start, stop))
     total = sum(p.trajectory_count for p in parts)
-    mean_probs = sum(p.trajectory_count * p.mean_probabilities for p in parts) / total
+    mean_probs = sum(p.trajectory_count * p.probabilities for p in parts) / total
     per_traj_var = np.concatenate([p.per_trajectory_variances for p in parts], axis=0)
     merged = _finalize(config, ranges, mean_probs, per_traj_var)
     merged.elapsed_seconds = sum(p.elapsed_seconds for p in parts)

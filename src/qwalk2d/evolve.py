@@ -1,4 +1,4 @@
-"""One full walk step, trajectory runs, and the exact averaged-channel oracle.
+"""Walk steps, trajectory runs, and the exact averaged-channel oracle.
 
 A step applies coin, x shift, coin, y shift, then the dephasing kick, so a
 trajectory with a fixed phase draw stays a pure state.  The oracle evolves
@@ -16,8 +16,9 @@ engine steps a group of B trajectories as one (B, n + 1, n + 1, 2) stack
 (trajectory_windows); the ensemble streams those windows into its sums
 and never builds a per-trajectory stack.  run_trajectory is the B = 1
 case, and it and exact_run scatter the windows onto the sites
-i = j = n (mod 2) of a zeroed (N+1, 2N+1, 2N+1) stack.  The public step
-and exact_step_density run the same kernels on the full grid.
+i = j = n (mod 2) of a zeroed (N+1, 2N+1, 2N+1) stack and return it as a
+WalkResult, the result type of the ensemble too.  exact_step_density runs
+the oracle's kernels on the full grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import variance_series
+from .analysis import Distribution2D, grid_stack, variance_series
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
 from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
 from .state import (
@@ -58,28 +59,36 @@ def _unitary(state: WalkState, sublattice: bool) -> WalkState:
     return shift_y(state)
 
 
-def _step(state: WalkState, phases: PhaseMatrix, sublattice: bool) -> WalkState:
-    """Coin, x shift, coin, y shift, dephasing; a sublattice state comes out
-    on the sublattice of the next step."""
-    out = apply_dephasing(_unitary(state, sublattice), phases)
-    return WalkState(out.amps, state.half_width + sublattice, state.step_count + 1)
-
-
-def step(state: WalkState, phases: PhaseMatrix) -> WalkState:
-    """Advance a full-grid state one full step: coin, x shift, coin, y
-    shift, dephasing."""
-    return _step(state, phases, sublattice=False)
+def _step(state: WalkState, phases: PhaseMatrix) -> WalkState:
+    """Coin, x shift, coin, y shift, dephasing on a sublattice state, which
+    comes out on the sublattice of the next step."""
+    out = apply_dephasing(_unitary(state, sublattice=True), phases)
+    return WalkState(out.amps, state.half_width + 1, state.step_count + 1)
 
 
 @dataclass
-class TrajectoryResult:
-    """Per-step site probabilities of one realization.
+class WalkResult:
+    """Per-step site distributions of a run and their variance series.
 
-    probabilities[n] is the (L, L) grid after n steps, n = 0..steps.
+    probabilities[n] is the (L, L) site grid after n steps, n = 0..steps,
+    L = 2 half_width + 1; variances[n] is the variance of that grid (the
+    figure-of-merit series), and variance_stderr[n] its standard error
+    from the spread of per-trajectory variances (a diagnostic), or None
+    where there is no spread: one trajectory, or the exact oracle.
     """
 
+    config: DisorderConfig
     probabilities: np.ndarray
-    half_width: int
+    variances: np.ndarray
+    variance_stderr: np.ndarray | None
+
+    @property
+    def half_width(self) -> int:
+        return self.config.steps
+
+    def distributions(self) -> list[Distribution2D]:
+        return [Distribution2D(probs, self.half_width, n)
+                for n, probs in enumerate(self.probabilities)]
 
 
 def sublattice_sites(n: int, size: int) -> slice:
@@ -106,9 +115,10 @@ def _light_cone(state, n_steps: int, advance, site_probabilities, check):
 def _stacked(windows, n_steps: int) -> np.ndarray:
     """The (n_steps + 1, L, L) stack, L = 2 n_steps + 1, of the (n, window)
     pairs: each (n + 1, n + 1) window lands on step n's sublattice sites,
-    and every other site is 0.0."""
+    and every other site is 0.0.  The stack is allocated before the first
+    window is drawn."""
     size = 2 * n_steps + 1
-    probs = np.zeros((n_steps + 1, size, size), dtype=float)
+    probs = grid_stack(n_steps + 1, n_steps)
     for n, window in windows:
         sites = sublattice_sites(n, size)
         probs[n, sites, sites] = window
@@ -138,7 +148,7 @@ def trajectory_windows(config: DisorderConfig, start: int, stop: int):
                 raise TrajectoryFailure(f"trajectory {k} failed at step {n}: {exc}") from exc
             # a scalar phase fills the whole window
             phases[k - start] = values[::2, ::2] if values.ndim else values
-        return _step(state, PhaseMatrix(phases), sublattice=True)
+        return _step(state, PhaseMatrix(phases))
 
     def check(windows: np.ndarray, n: int) -> None:
         for k, total in enumerate(windows.sum(axis=(1, 2)), start):
@@ -148,12 +158,12 @@ def trajectory_windows(config: DisorderConfig, start: int, stop: int):
     return _light_cone(WalkState(amps, 0), config.steps, advance, WalkState.probabilities, check)
 
 
-def run_trajectory(config: DisorderConfig, trajectory_index: int) -> TrajectoryResult:
+def run_trajectory(config: DisorderConfig, trajectory_index: int) -> WalkResult:
     """Run one realization for config.steps steps: trajectory_windows for
     the one trajectory, scattered onto the full grid."""
     windows = trajectory_windows(config, trajectory_index, trajectory_index + 1)
-    return TrajectoryResult(_stacked(((n, w[0]) for n, w in windows), config.steps),
-                            config.steps)
+    probs = _stacked(((n, w[0]) for n, w in windows), config.steps)
+    return WalkResult(config, probs, variance_series(probs, config.steps), None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +273,9 @@ def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityS
     return _density_step(dstate, config, sublattice=False)
 
 
-@dataclass
-class ExactRunResult:
-    """Ensemble-exact per-step distributions and variances (no sampling error)."""
-
-    config: DisorderConfig
-    probabilities: np.ndarray
-    variances: np.ndarray
-    half_width: int
-
-
-def exact_run(config: DisorderConfig) -> ExactRunResult:
-    """Evolve the averaged channel for config.steps steps.
+def exact_run(config: DisorderConfig) -> WalkResult:
+    """Evolve the averaged channel for config.steps steps: ensemble-exact
+    distributions and variances, with no sampling error.
 
     rho lives on the parity sublattice (see the module docstring), so step
     n works on a density matrix of dimension 2 (n + 1)^2.  Intended for
@@ -293,4 +294,4 @@ def exact_run(config: DisorderConfig) -> ExactRunResult:
         DensityState.site_probabilities,
         lambda window, n: check_unit_total(window.sum(), f"oracle trace at step {n}"))
     probs = _stacked(windows, n_steps)
-    return ExactRunResult(config, probs, variance_series(probs, n_steps), n_steps)
+    return WalkResult(config, probs, variance_series(probs, n_steps), None)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Distribution2D
+from .analysis import Distribution2D, grid_stack
 from .disorder import DisorderConfig
 from .errors import ConfigError, InvariantViolationError, check_unit_total
 
@@ -329,34 +329,36 @@ def _checked_columns(path):
     return (*keys.T, np.fromiter(rows.values(), float, len(rows)))
 
 
-def read_distribution_csv(path) -> list[Distribution2D]:
-    """Read distributions back from rows `step,i,j,p` under the header
-    `step,i,j,p`.  Blank lines are skipped; there are no comments.  Steps
-    must be contiguous from 0, each (step, i, j) may appear once with
-    |i|, |j| <= step, where a walk can be, and no p may be negative.  A
-    ConfigError names the file, and the line of a bad row.
+def read_distribution_stack(path) -> tuple[np.ndarray, int]:
+    """The (steps, L, L) grid stack of a distributions CSV, and its half
+    width h (the largest |i| or |j|, at least 1; L = 2 h + 1).
 
-    A valid file is parsed once at C speed (_parsed_columns); only a file
-    that fails there is read again row by row, which words the error.
+    Rows `step,i,j,p` follow the header `step,i,j,p`.  Blank lines are
+    skipped; there are no comments.  Steps must be contiguous from 0, each
+    (step, i, j) may appear once with |i|, |j| <= step, where a walk can
+    be, and no p may be negative.  A ConfigError names the file, and the
+    line of a bad row.  A valid file is parsed once at C speed
+    (_parsed_columns); only a file that fails there is read again row by
+    row, which words the error.
     """
     columns = _parsed_columns(path)
     step, i, j, p = _checked_columns(path) if columns is None else columns
-    n_steps = int(step.max()) + 1
     half_width = max(int(np.abs(i).max()), int(np.abs(j).max()), 1)
-    size = 2 * half_width + 1
     try:
-        grids = np.zeros((n_steps, size, size))
-    except (MemoryError, ValueError):  # ValueError: the byte count passes 2**63
-        raise ConfigError(
-            f"{path}: {n_steps} steps on |i|, |j| <= {half_width} need a "
-            f"{n_steps} x {size} x {size} grid stack, which cannot be allocated"
-        ) from None
+        grids = grid_stack(int(step.max()) + 1, half_width)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     grids[step, i + half_width, j + half_width] = p
-    dists = []
-    for n in range(n_steps):
-        check_unit_total(grids[n].sum(), f"{path}: distribution sum at step {n}")
-        dists.append(Distribution2D(grids[n], half_width, n))
-    return dists
+    for n, grid in enumerate(grids):
+        check_unit_total(grid.sum(), f"{path}: distribution sum at step {n}")
+    return grids, half_width
+
+
+def read_distribution_csv(path) -> list[Distribution2D]:
+    """The distributions of read_distribution_stack, one per step, each a
+    view of its stack."""
+    grids, half_width = read_distribution_stack(path)
+    return [Distribution2D(grid, half_width, n) for n, grid in enumerate(grids)]
 
 
 def write_variance_csv(variances, stderrs, path) -> None:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qwalk2d import PhaseSampler, WalkState, initial_state, step
+from qwalk2d import (
+    PhaseSampler,
+    WalkState,
+    apply_coin,
+    apply_dephasing,
+    apply_shift_x,
+    apply_shift_y,
+    initial_state,
+)
 
 
 def assert_support_ok(prob_grid, half_width, n):
@@ -16,14 +24,27 @@ def assert_support_ok(prob_grid, half_width, n):
     assert np.all((j - n) % 2 == 0), f"step {n}: y parity violated"
 
 
+def full_grid_step(state, phases):
+    """One walk step on the full grid, composed from the state module's
+    public kernels in the order the benchmark replay composes them: coin,
+    x shift, coin, y shift, dephasing.  An independent reference for the
+    engines' sublattice step."""
+    out = apply_coin(state)
+    out = apply_shift_x(out)
+    out = apply_coin(out)
+    out = apply_shift_y(out)
+    out = apply_dephasing(out, phases)
+    return WalkState(out.amps, state.half_width, state.step_count + 1)
+
+
 def iter_walk_states(config, trajectory_index=0):
     """States after 0..config.steps steps of one trajectory, one at a time,
-    rebuilt on the full grid from PhaseSampler and step."""
+    rebuilt on the full grid from PhaseSampler and full_grid_step."""
     sampler = PhaseSampler(config, trajectory_index)
     state = initial_state(config.steps)
     yield state
     for n in range(1, config.steps + 1):
-        state = step(state, sampler.phases_for_step(n, state.half_width))
+        state = full_grid_step(state, sampler.phases_for_step(n, state.half_width))
         yield state
 
 

@@ -24,10 +24,9 @@ from qwalk2d import (
     run_ensemble,
     run_trajectory,
     same_site_coherence_factor,
-    step,
     variance_series,
 )
-from conftest import assert_support_ok, walk_states
+from conftest import assert_support_ok, full_grid_step, walk_states
 
 MASTER_SEED = 424242
 THREADS = 2
@@ -108,7 +107,7 @@ def test_criterion_1_golden_first_step():
     with criterion(1, "golden first step"):
         cfg = DisorderConfig(DisorderMode.NONE, 0.0, steps=1, realizations=1,
                              master_seed=0)
-        state = step(initial_state(1), PhaseSampler(cfg, 0).phases_for_step(1, 1))
+        state = full_grid_step(initial_state(1), PhaseSampler(cfg, 0).phases_for_step(1, 1))
         r8 = 1.0 / math.sqrt(8.0)
         expected = {
             (-1, -1): ((1 + 1j) * r8, 0j),
@@ -132,7 +131,7 @@ def test_criterion_2_ballistic_regime(ballistic):
         fit = fit_scaling_exponent(ballistic.variances, 10, 20)
         assert 1.8 <= fit.alpha <= 2.05, f"alpha = {fit.alpha}"
         for n in (10, 20):
-            p = ballistic.mean_probabilities[n]
+            p = ballistic.probabilities[n]
             assert np.abs(p - p[::-1, :]).max() <= 1e-9, f"x reflection broken at n={n}"
             assert np.abs(p - p[:, ::-1]).max() <= 1e-9, f"y reflection broken at n={n}"
 
@@ -184,7 +183,7 @@ def test_criterion_6_anderson_localization(static_pi, ballistic):
             assert fit.slope < 0.0, f"slope = {fit.slope}"
             assert fit.r_squared >= 0.9, f"r^2 = {fit.r_squared}"
         peak = final.probs[20, 20]
-        ballistic_center = ballistic.mean_probabilities[20][20, 20]
+        ballistic_center = ballistic.probabilities[20][20, 20]
         assert peak >= 5.0 * ballistic_center, f"{peak} vs {ballistic_center}"
 
 
@@ -193,7 +192,7 @@ def test_criterion_7_oracle_equivalence(oracle_pairs):
         for mode, (exact, ens) in oracle_pairs.items():
             p = exact.probabilities
             bound = 5.0 * np.sqrt(p * (1 - p) / 20_000) + 1e-9
-            diff = np.abs(ens.mean_probabilities - p)
+            diff = np.abs(ens.probabilities - p)
             assert np.all(diff <= bound), f"{mode}: max excess {(diff - bound).max()}"
         # channel damping factors against direct quadrature of the phase law
         for zeta in (0.3, math.pi / 2, math.pi):
@@ -216,7 +215,7 @@ def test_criterion_8a_norm_drift_over_50_steps():
 def test_criterion_8b_distributions_normalized(all_ensembles):
     with criterion("8b", "distributions normalized each step"):
         for name, ens in all_ensembles.items():
-            sums = ens.mean_probabilities.sum(axis=(1, 2))
+            sums = ens.probabilities.sum(axis=(1, 2))
             worst = float(np.abs(sums - 1.0).max())
             assert worst <= 1e-9, f"{name}: {worst}"
 
@@ -228,7 +227,7 @@ def test_criterion_8c_thread_count_invariance():
         base = run_ensemble(cfg, threads=1)
         for threads in (2, 4, 8):
             other = run_ensemble(cfg, threads=threads)
-            assert np.abs(other.mean_probabilities - base.mean_probabilities).max() <= 1e-12
+            assert np.abs(other.probabilities - base.probabilities).max() <= 1e-12
             assert np.abs(other.variances - base.variances).max() <= 1e-12
             assert np.abs(other.variance_stderr - base.variance_stderr).max() <= 1e-12
 
@@ -237,4 +236,4 @@ def test_criterion_8d_support_and_parity(all_ensembles):
     with criterion("8d", "support bounds and parity"):
         for name, ens in all_ensembles.items():
             for n in range(STEPS + 1):
-                assert_support_ok(ens.mean_probabilities[n], ens.half_width, n)
+                assert_support_ok(ens.probabilities[n], ens.half_width, n)

@@ -17,10 +17,9 @@ from qwalk2d import (
     fit_scaling_exponent,
     initial_state,
     run_trajectory,
-    step,
     variance_series,
 )
-from conftest import walk_states
+from conftest import full_grid_step, walk_states
 from reference import ref_variance
 
 
@@ -47,7 +46,7 @@ class TestDistribution:
 
     def test_first_step_distribution(self):
         cfg = DisorderConfig(DisorderMode.NONE, 0.0, steps=1, realizations=1, master_seed=0)
-        state = step(initial_state(1), PhaseSampler(cfg, 0).phases_for_step(1, 1))
+        state = full_grid_step(initial_state(1), PhaseSampler(cfg, 0).phases_for_step(1, 1))
         probs = state.probabilities()
         for (i, j), p in FIRST_STEP.items():
             assert probs[i + 1, j + 1] == pytest.approx(p, abs=1e-12)

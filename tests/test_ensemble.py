@@ -31,7 +31,7 @@ class TestRunEnsemble:
         cfg = config(realizations=1)
         ens = run_ensemble(cfg)
         traj = run_trajectory(cfg, 0)
-        np.testing.assert_array_equal(ens.mean_probabilities, traj.probabilities)
+        np.testing.assert_array_equal(ens.probabilities, traj.probabilities)
         np.testing.assert_array_equal(
             ens.variances, variance_series(traj.probabilities, traj.half_width))
         assert np.all(ens.variance_stderr == 0.0)
@@ -49,7 +49,7 @@ class TestRunEnsemble:
 
     def test_distribution_sums_to_one_each_step(self):
         ens = run_ensemble(config())
-        sums = ens.mean_probabilities.sum(axis=(1, 2))
+        sums = ens.probabilities.sum(axis=(1, 2))
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_variance_starts_at_zero(self):
@@ -137,7 +137,7 @@ class TestBatchedChunk:
         base = run_ensemble(cfg)
         monkeypatch.setattr(ensemble, "GROUP_BYTES", group_bytes)
         other = run_ensemble(cfg)
-        np.testing.assert_array_equal(other.mean_probabilities, base.mean_probabilities)
+        np.testing.assert_array_equal(other.probabilities, base.probabilities)
         np.testing.assert_array_equal(other.per_trajectory_variances,
                                       base.per_trajectory_variances)
 
@@ -148,7 +148,7 @@ class TestBatchedChunk:
         lo_sum, lo_rows = reference_chunk(cfg, 0, 32)
         hi_sum, hi_rows = reference_chunk(cfg, 32, 37)
         lo_sum += hi_sum
-        np.testing.assert_array_equal(ens.mean_probabilities, lo_sum / 37)
+        np.testing.assert_array_equal(ens.probabilities, lo_sum / 37)
         np.testing.assert_array_equal(ens.per_trajectory_variances,
                                       np.concatenate([lo_rows, hi_rows]))
 
@@ -160,8 +160,8 @@ class TestParallelDeterminism:
         base = run_ensemble(cfg, threads=1)
         for threads in (2, 4, 8):
             other = run_ensemble(cfg, threads=threads)
-            np.testing.assert_array_equal(other.mean_probabilities,
-                                          base.mean_probabilities)
+            np.testing.assert_array_equal(other.probabilities,
+                                          base.probabilities)
             np.testing.assert_array_equal(other.variances, base.variances)
             np.testing.assert_array_equal(other.variance_stderr,
                                           base.variance_stderr)
@@ -192,8 +192,8 @@ class TestParallelDeterminism:
         cfg = config(steps=4, realizations=realizations)
         result = run_ensemble(cfg, threads=1000)
         assert made == pools
-        np.testing.assert_array_equal(result.mean_probabilities,
-                                      run_ensemble(cfg, threads=1).mean_probabilities)
+        np.testing.assert_array_equal(result.probabilities,
+                                      run_ensemble(cfg, threads=1).probabilities)
 
 
 class TestStatisticalSanity:
@@ -213,8 +213,8 @@ class TestMerge:
     def test_merge_of_single_partial_is_identity(self):
         full = run_ensemble(config())
         merged = merge_results([full])
-        np.testing.assert_array_equal(merged.mean_probabilities,
-                                      full.mean_probabilities)
+        np.testing.assert_array_equal(merged.probabilities,
+                                      full.probabilities)
         assert merged.traj_ranges == full.traj_ranges
 
     def test_split_merge_equals_full_run(self):
@@ -225,8 +225,8 @@ class TestMerge:
         merged = merge_results([hi, lo])   # order must not matter
         assert merged.traj_ranges == [(0, 100)]
         assert merged.trajectory_count == 100
-        np.testing.assert_allclose(merged.mean_probabilities,
-                                   full.mean_probabilities, atol=1e-12)
+        np.testing.assert_allclose(merged.probabilities,
+                                   full.probabilities, atol=1e-12)
         np.testing.assert_allclose(merged.variances, full.variances, atol=1e-12)
         np.testing.assert_allclose(merged.variance_stderr,
                                    full.variance_stderr, atol=1e-12)
@@ -238,7 +238,7 @@ class TestMerge:
         merged = merge_results([b, a])
         assert merged.traj_ranges == [(0, 24), (40, 64)]
         assert merged.trajectory_count == 48
-        sums = merged.mean_probabilities.sum(axis=(1, 2))
+        sums = merged.probabilities.sum(axis=(1, 2))
         assert np.abs(sums - 1.0).max() <= 1e-9
 
     def test_overlapping_ranges_rejected(self):

@@ -23,10 +23,10 @@ from qwalk2d import (
     run_ensemble,
     run_trajectory,
     same_site_coherence_factor,
-    step,
     variance_series,
 )
-from conftest import assert_support_ok, iter_walk_states, walk_states
+from qwalk2d.evolve import _step
+from conftest import assert_support_ok, full_grid_step, iter_walk_states, walk_states
 from reference import ref_probs, ref_run, ref_step, ref_variance
 
 R8 = 1.0 / math.sqrt(8.0)
@@ -54,7 +54,7 @@ class TestGoldenFirstStep:
     def first_step_state(self):
         cfg = config(DisorderMode.NONE, 0.0, steps=1)
         state = initial_state(1)
-        return step(state, zero_phase(cfg, 1, 1))
+        return full_grid_step(state, zero_phase(cfg, 1, 1))
 
     def test_amplitudes_match_closed_form(self):
         s1 = self.first_step_state()
@@ -71,7 +71,8 @@ class TestGoldenFirstStep:
         np.testing.assert_allclose(probs[occupied], 0.25, atol=1e-12)
 
     def test_step_count_increments(self):
-        assert self.first_step_state().step_count == 1
+        state = _step(initial_state(0), PhaseMatrix(np.float64(0.0)))
+        assert state.step_count == 1
 
 
 class TestStepAgainstReference:
@@ -95,7 +96,7 @@ class TestStepAgainstReference:
         ref_amps = {(0, 0): (state.amps[6, 6, 0], state.amps[6, 6, 1])}
         for n in range(1, 7):
             pm = sampler.phases_for_step(n, 6)
-            state = step(state, pm)
+            state = full_grid_step(state, pm)
             values = pm.values
             ref_amps = ref_step(ref_amps, lambda i, j: float(values[i + 6, j + 6]))
             for (i, j), (h, v) in ref_amps.items():
@@ -317,7 +318,7 @@ class TestExactRun:
         ens = run_ensemble(cfg, threads=2)
         p = exact.probabilities
         bound = 3.0 * np.sqrt(p * (1 - p) / cfg.realizations) + 1e-12
-        assert np.all(np.abs(ens.mean_probabilities - p) <= bound)
+        assert np.all(np.abs(ens.probabilities - p) <= bound)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_site_probabilities_are_an_invariant_violation(self, bad,

@@ -259,6 +259,20 @@ class TestCliRun:
         assert doc["config"]["mode"] == "dynamical-spatial"
 
 
+    @pytest.mark.parametrize("steps", [20_001, 700_001])
+    def test_grid_stack_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
+                                                                 steps):
+        # the sizes of the fit test of the same name: 2.6e14 bytes, more than
+        # any address space, and a byte count past 2**63
+        out = tmp_path / "out"
+        assert main(["run", "--mode", "dynamical-spatial", "--zeta", "pi",
+                     "--steps", str(steps), "--realizations", "1", "--seed", "1",
+                     "--out-dir", str(out)]) == 2
+        size = 2 * steps + 1
+        assert f"{steps + 1} x {size} x {size} grid stack" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliOracle:
     def test_oracle_writes_null_stderr(self, tmp_path):
         out = tmp_path / "oracle"
@@ -288,9 +302,10 @@ class TestCliOracle:
 
 
 class TestCliFit:
-    def test_refit_reproduces_run_fits(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_refit_reproduces_run_fits(self, tmp_path, command):
         out = tmp_path / "out"
-        assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "14",
+        assert main([command, "--mode", "none", "--zeta", "0", "--steps", "14",
                      "--realizations", "1", "--seed", "6", "--threads", "1",
                      "--fit-n-lo", "7", "--out-dir", str(out)]) == 0
         refit = tmp_path / "refit.json"
@@ -299,9 +314,9 @@ class TestCliFit:
         original = json.loads((out / "result.json").read_text())
         again = json.loads(refit.read_text())
         assert again["engine"] == "refit"
-        a = original["fits"]["scaling"]["alpha"]
-        b = again["fits"]["scaling"]["alpha"]
-        assert b == pytest.approx(a, abs=1e-9)
+        pairs = lambda doc: [(e["n"], e["V"]) for e in doc["variance_series"]]
+        assert pairs(again) == pairs(original)
+        assert again["fits"] == original["fits"]
 
     def test_fit_can_echo_config_from_manifest(self, tmp_path):
         out = tmp_path / "out"

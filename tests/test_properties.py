@@ -25,7 +25,6 @@ from qwalk2d import (
     apply_shift_x,
     apply_shift_y,
     exact_step_density,
-    step,
 )
 from qwalk2d.cli import main
 from qwalk2d.state import _grow_x, _grow_y
@@ -39,7 +38,7 @@ from qwalk2d.io import (
     read_distribution_csv,
     write_distribution_csv,
 )
-from conftest import random_state
+from conftest import full_grid_step, random_state
 from reference import read_distribution_csv as reference_read_distribution_csv
 
 seeds = st.integers(0, 2**32 - 1)
@@ -55,7 +54,7 @@ class TestSharedUnitary:
                              master_seed=0)
         vec = psi.amps.reshape(-1)
         got = exact_step_density(DensityState(np.outer(vec, vec.conj()), half_width), cfg).rho
-        out = step(psi, PhaseMatrix(np.float64(0.0))).amps.reshape(-1)
+        out = full_grid_step(psi, PhaseMatrix(np.float64(0.0))).amps.reshape(-1)
         want = np.outer(out, out.conj())
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -66,7 +65,7 @@ class TestSharedUnitary:
         psi = random_state(rng, half_width)
         size = 2 * half_width + 1
         phases = PhaseMatrix(rng.uniform(-np.pi, np.pi, size=(size, size)))
-        assert abs(step(psi, phases).norm() - 1.0) <= 1e-12
+        assert abs(full_grid_step(psi, phases).norm() - 1.0) <= 1e-12
         cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, np.pi, steps=half_width,
                              realizations=1, master_seed=0)
         vec = psi.amps.reshape(-1)
