@@ -61,17 +61,22 @@ class AxisCuts:
     along_y: np.ndarray
 
 
+def zeroed_array(shape: tuple[int, ...], what: str, needed_by: str) -> np.ndarray:
+    """np.zeros(shape); a ConfigError naming what needs it and the shape if
+    it cannot be allocated."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError):  # ValueError: the byte count passes 2**63
+        dims = " x ".join(map(str, shape))
+        raise ConfigError(f"{needed_by} need a {dims} {what}, which cannot be allocated") from None
+
+
 def grid_stack(n_steps: int, half_width: int) -> np.ndarray:
     """A zeroed (n_steps, L, L) stack of site grids, L = 2 half_width + 1;
     a ConfigError naming the shape if it cannot be allocated."""
     size = 2 * half_width + 1
-    try:
-        return np.zeros((n_steps, size, size))
-    except (MemoryError, ValueError):  # ValueError: the byte count passes 2**63
-        raise ConfigError(
-            f"{n_steps} steps on |i|, |j| <= {half_width} need a "
-            f"{n_steps} x {size} x {size} grid stack, which cannot be allocated"
-        ) from None
+    return zeroed_array((n_steps, size, size), "grid stack",
+                        f"{n_steps} steps on |i|, |j| <= {half_width}")
 
 
 def site_coordinates(half_width: int) -> np.ndarray:

@@ -6,13 +6,14 @@ trajectory indices in ascending order; the chunk layout depends only on the
 index range, never on the worker count, so a run is bitwise reproducible
 for any number of workers.
 
-A chunk steps its trajectories in groups, each as one stack (see
-evolve.trajectory_windows).  The group width is derived from the step
+A chunk runs its trajectories in groups, each through one
+evolve.add_trajectories call.  The group width is derived from the step
 count, never set: as many trajectories as fit GROUP_BYTES of amplitudes.
 Each step's windows are added into the chunk's probability sum in
 trajectory order as they come, and each trajectory's variance row comes
 from the x and y marginals of its windows, so no per-trajectory
-(N+1, 2N+1, 2N+1) stack exists, and the width changes no bit.
+(N+1, 2N+1, 2N+1) stack exists, and the width changes no bit.  The
+chunks write their rows into the run's (R, N+1) variance array.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import grid_stack, marginal_variances, variance_series
+from .analysis import grid_stack, variance_series, zeroed_array
 from .disorder import DisorderConfig
 from .errors import ConfigError, check_unit_total
-from .evolve import WalkResult, sublattice_sites, trajectory_windows
+from .evolve import WalkResult, add_trajectories
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
@@ -61,37 +62,16 @@ def _group_width(n_steps: int) -> int:
 
 
 def _run_chunk(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Sum of probability stacks and per-trajectory variance rows for [start, stop).
-
-    Trajectories run in groups of _group_width; each step's windows are
-    added into prob_sum in trajectory order, so the sum is the same for
-    any group width.  The variance rows come from each trajectory's x and y
-    marginals, built as variance_series builds them from a full stack: a
-    row sum runs over the whole zero-padded grid row, since numpy's
-    pairwise sum groups a shorter row differently, while a column sum adds
-    rows in order and may skip the zeros.
-    """
+    """Sum of probability stacks and per-trajectory variance rows for
+    [start, stop), run in groups of _group_width by add_trajectories, which
+    adds into the sum in trajectory order, so no bit depends on the width."""
     config, start, stop = args
-    n_steps = config.steps
-    size = 2 * n_steps + 1
-    prob_sum = grid_stack(n_steps + 1, n_steps)
-    var_rows = np.empty((stop - start, n_steps + 1))
-    width = _group_width(n_steps)
+    prob_sum = grid_stack(config.steps + 1, config.steps)
+    var_rows = np.empty((stop - start, config.steps + 1))
+    width = _group_width(config.steps)
     for lo in range(start, stop, width):
         hi = min(lo + width, stop)
-        px = np.zeros((hi - lo, n_steps + 1, size))
-        py = np.zeros((hi - lo, n_steps + 1, size))
-        for n, windows in trajectory_windows(config, lo, hi):
-            sites = sublattice_sites(n, size)
-            total = prob_sum[n, sites, sites]
-            for window in windows:
-                total += window
-            rows = np.zeros(windows.shape[:2] + (size,))
-            rows[..., sites] = windows
-            px[:, n, sites] = rows.sum(axis=2)
-            py[:, n, sites] = windows.sum(axis=1)
-        for b in range(hi - lo):
-            var_rows[lo - start + b] = marginal_variances(px[b], py[b], n_steps)
+        add_trajectories(config, lo, hi, prob_sum, var_rows[lo - start:hi - start])
     return start, prob_sum, var_rows
 
 
@@ -102,8 +82,9 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     Chunks fan out to min(threads, chunks) worker processes; one worker
     runs serially in-process (the reference path).  Either way the
     reduction order is fixed, so the stored numbers are identical.  The
-    mean stack is allocated first, so a walk too long to hold fails with
-    a ConfigError before any trajectory runs or worker starts.
+    mean stack and the variance rows are allocated first, so a walk too
+    long or an ensemble too large to hold fails with a ConfigError before
+    any trajectory runs or worker starts.
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -116,35 +97,38 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
         )
     t0 = time.perf_counter()
     mean_probs = grid_stack(config.steps + 1, config.steps)
-    chunk_args = [(config, a, min(a + CHUNK_SIZE, stop))
-                  for a in range(traj_start, stop, CHUNK_SIZE)]
-    workers = min(threads, len(chunk_args))
+    per_traj_var = zeroed_array((stop - traj_start, config.steps + 1), "variance array",
+                                f"trajectories {traj_start}..{stop - 1}")
+    starts = range(traj_start, stop, CHUNK_SIZE)
+    chunk_args = ((config, a, min(a + CHUNK_SIZE, stop)) for a in starts)
+    workers = min(threads, len(starts))
     if workers == 1:
-        prob_sum, per_traj_var = _sum_chunks(map(_run_chunk, chunk_args), traj_start)
+        prob_sum = _sum_chunks(map(_run_chunk, chunk_args), per_traj_var, traj_start)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            prob_sum, per_traj_var = _sum_chunks(pool.map(_run_chunk, chunk_args), traj_start)
+            prob_sum = _sum_chunks(pool.map(_run_chunk, chunk_args), per_traj_var, traj_start)
     np.divide(prob_sum, stop - traj_start, out=mean_probs)
     result = _finalize(config, [(traj_start, stop)], mean_probs, per_traj_var)
     result.elapsed_seconds = time.perf_counter() - t0
     return result
 
 
-def _sum_chunks(chunk_results, start: int) -> tuple[np.ndarray, np.ndarray]:
+def _sum_chunks(chunk_results, per_traj_var: np.ndarray, start: int) -> np.ndarray:
     """Add up chunk results in chunk order, each as it arrives, so only the
-    running sum and one chunk's sum are held; returns the probability sum
-    and the per-trajectory variance rows from trajectory start on."""
+    running sum and one chunk's sum are held; returns the probability sum,
+    and writes each chunk's variance rows into per_traj_var, whose row 0
+    is trajectory start."""
     prob_sum = None
-    var_blocks = []
+    row = 0
     for chunk_start, chunk_sum, var_rows in chunk_results:
-        assert chunk_start == start, "chunk reduction out of order"
-        start += len(var_rows)
+        assert chunk_start == start + row, "chunk reduction out of order"
+        per_traj_var[row:row + len(var_rows)] = var_rows
+        row += len(var_rows)
         if prob_sum is None:
             prob_sum = chunk_sum
         else:
             prob_sum += chunk_sum
-        var_blocks.append(var_rows)
-    return prob_sum, np.concatenate(var_blocks, axis=0)
+    return prob_sum
 
 
 def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
@@ -163,9 +147,10 @@ def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
 def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
     """Combine partial ensembles over disjoint trajectory-index ranges.
 
-    Partials must share an identical config; they are merged in ascending
-    index order regardless of list order, so the result does not depend on
-    the list order.  The merged means match a single run over the same
+    Partials must share an identical config; their ranges are merged in
+    ascending index order regardless of list order, so a partial may fill
+    a gap between another's ranges and the result does not depend on the
+    list order.  The merged means match a single run over the same
     trajectories within 1e-12, but not bit for bit: summing partial totals
     groups the additions differently from one run's chunk order (up to
     3.6e-15 apart at R=128, N=8).
@@ -176,21 +161,27 @@ def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
     for part in partials[1:]:
         if part.config != config:
             raise ConfigError("cannot merge ensembles with different configs")
-    parts = sorted(partials, key=lambda p: p.traj_ranges[0][0])
-    ranges: list[tuple[int, int]] = []
-    for part in parts:
+    pieces = []  # every partial's ranges, each with its variance rows
+    for part in partials:
+        row = 0
         for start, stop in part.traj_ranges:
-            if ranges and start < ranges[-1][1]:
-                raise ConfigError(
-                    f"overlapping trajectory ranges: [{start}, {stop}) after {ranges[-1]}"
-                )
-            if ranges and start == ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], stop)
-            else:
-                ranges.append((start, stop))
+            pieces.append((start, stop, part.per_trajectory_variances[row:row + stop - start]))
+            row += stop - start
+    pieces.sort(key=lambda piece: piece[0])
+    ranges: list[tuple[int, int]] = []
+    for start, stop, _ in pieces:
+        if ranges and start < ranges[-1][1]:
+            raise ConfigError(
+                f"overlapping trajectory ranges: [{start}, {stop}) after {ranges[-1]}"
+            )
+        if ranges and start == ranges[-1][1]:
+            ranges[-1] = (ranges[-1][0], stop)
+        else:
+            ranges.append((start, stop))
+    parts = sorted(partials, key=lambda p: p.traj_ranges[0][0])
     total = sum(p.trajectory_count for p in parts)
     mean_probs = sum(p.trajectory_count * p.probabilities for p in parts) / total
-    per_traj_var = np.concatenate([p.per_trajectory_variances for p in parts], axis=0)
+    per_traj_var = np.concatenate([rows for _, _, rows in pieces], axis=0)
     merged = _finalize(config, ranges, mean_probs, per_traj_var)
     merged.elapsed_seconds = sum(p.elapsed_seconds for p in parts)
     return merged

@@ -9,16 +9,14 @@ meant for short walks.
 Both engines keep their states on the parity sublattice (see the state
 module): shape (n + 1, n + 1, 2) after n steps, and an oracle rho of
 dimension 2 (n + 1)^2.  Step n takes every other phase of its window
-|i|, |j| <= n, a strided view of the whole-lattice draw.  One light-cone
-loop, _light_cone, runs both engines: after every step it checks the unit
-total and yields the (n + 1)^2 sublattice probabilities.  The trajectory
-engine steps a group of B trajectories as one (B, n + 1, n + 1, 2) stack
-(trajectory_windows); the ensemble streams those windows into its sums
-and never builds a per-trajectory stack.  run_trajectory is the B = 1
-case, and it and exact_run scatter the windows onto the sites
-i = j = n (mod 2) of a zeroed (N+1, 2N+1, 2N+1) stack and return it as a
-WalkResult, the result type of the ensemble too.  exact_step_density runs
-the oracle's kernels on the full grid.
+|i|, |j| <= n, a strided view of the whole-lattice draw.  add_trajectories
+runs every trajectory: it steps a group of B as one (B, n + 1, n + 1, 2)
+stack, adds their windows into an (N+1, 2N+1, 2N+1) probability sum on
+the sites i = j = n (mod 2), and computes their variance rows from their
+marginals.  run_trajectory is its B = 1 call into a zeroed stack, and
+exact_run scatters its density matrix's windows the same way; both return
+a WalkResult, the result type of the ensemble too.  exact_step_density
+runs the oracle's kernels on the full grid.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Distribution2D, grid_stack, variance_series
+from .analysis import Distribution2D, grid_stack, marginal_variances, variance_series
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
 from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
 from .state import (
@@ -98,72 +96,69 @@ def sublattice_sites(n: int, size: int) -> slice:
     return slice(centre - n, centre + n + 1, 2)
 
 
-def _light_cone(state, n_steps: int, advance, site_probabilities, check):
-    """Yield (n, site_probabilities(state)) for n = 0..n_steps, starting from
-    a sublattice state.  advance(state, n) returns the state after step n,
-    and the result is rebound, so the previous state is freed.  check(window,
-    n) runs on every window after step 0 and raises
-    InvariantViolationError if its unit total fails."""
-    yield 0, site_probabilities(state)
-    for n in range(1, n_steps + 1):
-        state = advance(state, n)
-        window = site_probabilities(state)
-        check(window, n)
-        yield n, window
+def _group_phases(samplers: list[PhaseSampler], start: int, n: int) -> PhaseMatrix:
+    """Step n's (B, n + 1, n + 1) phases, one window per sampler; a sampler's
+    exception comes out as TrajectoryFailure naming its trajectory."""
+    phases = np.empty((len(samplers), n + 1, n + 1))
+    for k, sampler in enumerate(samplers, start):
+        try:
+            values = sampler.phases_for_step(n, n).values
+        except Exception as exc:
+            raise TrajectoryFailure(f"trajectory {k} failed at step {n}: {exc}") from exc
+        # a scalar phase fills the whole window
+        phases[k - start] = values[::2, ::2] if values.ndim else values
+    return PhaseMatrix(phases)
 
 
-def _stacked(windows, n_steps: int) -> np.ndarray:
-    """The (n_steps + 1, L, L) stack, L = 2 n_steps + 1, of the (n, window)
-    pairs: each (n + 1, n + 1) window lands on step n's sublattice sites,
-    and every other site is 0.0.  The stack is allocated before the first
-    window is drawn."""
-    size = 2 * n_steps + 1
-    probs = grid_stack(n_steps + 1, n_steps)
-    for n, window in windows:
-        sites = sublattice_sites(n, size)
-        probs[n, sites, sites] = window
-    return probs
-
-
-def trajectory_windows(config: DisorderConfig, start: int, stop: int):
-    """Yield (n, probs) for n = 0..config.steps, where probs[b] is the
-    (n + 1, n + 1) sublattice window of trajectory start + b after step n.
+def add_trajectories(config: DisorderConfig, start: int, stop: int,
+                     prob_sum: np.ndarray, var_rows: np.ndarray) -> None:
+    """Run trajectories start..stop-1: add their probability grids into
+    prob_sum, of shape (N + 1, L, L), L = 2N + 1, and write trajectory
+    start + b's variance series into var_rows[b].
 
     The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
-    sublattice stack.  Each keeps its own PhaseSampler, and step n takes
-    every other phase of its window |i|, |j| <= n.  Every operation acts
-    site by site, so each trajectory's bits do not depend on B.  A failing
-    unit total raises InvariantViolationError naming the first trajectory,
-    in index order, that fails at the first failing step; an exception from
-    a trajectory's sampler comes out as TrajectoryFailure naming it.
+    sublattice stack, each with its own PhaseSampler.  Each step's windows
+    are added into prob_sum's sublattice sites in trajectory order.  The
+    variance rows come from each trajectory's x and y marginals, built as
+    variance_series builds them from a full stack: a row sum runs over the
+    whole zero-padded grid row, since numpy's pairwise sum groups a shorter
+    row differently, while a column sum adds rows in order and may skip
+    the zeros.  So no bit depends on B, and B = 1 into a zeroed prob_sum
+    gives the trajectory's own grids.  A failing unit total raises
+    InvariantViolationError naming the first trajectory, in index order,
+    that fails at the first failing step.
     """
+    n_steps = config.steps
+    size = 2 * n_steps + 1
     samplers = [PhaseSampler(config, k) for k in range(start, stop)]
-
-    def advance(state: WalkState, n: int) -> WalkState:
-        phases = np.empty((len(samplers), n + 1, n + 1))
-        for k, sampler in enumerate(samplers, start):
-            try:
-                values = sampler.phases_for_step(n, n).values
-            except Exception as exc:
-                raise TrajectoryFailure(f"trajectory {k} failed at step {n}: {exc}") from exc
-            # a scalar phase fills the whole window
-            phases[k - start] = values[::2, ::2] if values.ndim else values
-        return _step(state, PhaseMatrix(phases))
-
-    def check(windows: np.ndarray, n: int) -> None:
+    px = np.zeros((len(samplers), n_steps + 1, size))
+    py = np.zeros_like(px)
+    state = WalkState(np.repeat(initial_state(0).amps[np.newaxis], len(samplers), axis=0), 0)
+    for n in range(n_steps + 1):
+        if n > 0:
+            state = _step(state, _group_phases(samplers, start, n))
+        windows = state.probabilities()
         for k, total in enumerate(windows.sum(axis=(1, 2)), start):
             check_unit_total(total, f"trajectory {k}: norm at step {n}")
-
-    amps = np.repeat(initial_state(0).amps[np.newaxis], len(samplers), axis=0)
-    return _light_cone(WalkState(amps, 0), config.steps, advance, WalkState.probabilities, check)
+        sites = sublattice_sites(n, size)
+        grid = prob_sum[n, sites, sites]
+        for window in windows:
+            grid += window
+        rows = np.zeros(windows.shape[:2] + (size,))
+        rows[..., sites] = windows
+        px[:, n, sites] = rows.sum(axis=2)
+        py[:, n, sites] = windows.sum(axis=1)
+    for b in range(len(samplers)):
+        var_rows[b] = marginal_variances(px[b], py[b], n_steps)
 
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> WalkResult:
-    """Run one realization for config.steps steps: trajectory_windows for
-    the one trajectory, scattered onto the full grid."""
-    windows = trajectory_windows(config, trajectory_index, trajectory_index + 1)
-    probs = _stacked(((n, w[0]) for n, w in windows), config.steps)
-    return WalkResult(config, probs, variance_series(probs, config.steps), None)
+    """Run one realization for config.steps steps: add_trajectories for
+    the one trajectory into a zeroed stack."""
+    probs = grid_stack(config.steps + 1, config.steps)
+    variances = np.empty((1, config.steps + 1))
+    add_trajectories(config, trajectory_index, trajectory_index + 1, probs, variances)
+    return WalkResult(config, probs, variances[0], None)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +283,14 @@ def exact_run(config: DisorderConfig) -> WalkResult:
             f"(dense density matrix), got {n_steps}"
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
-    windows = _light_cone(
-        initial_density(0), n_steps,
-        lambda dstate, n: _density_step(dstate, config, sublattice=True),
-        DensityState.site_probabilities,
-        lambda window, n: check_unit_total(window.sum(), f"oracle trace at step {n}"))
-    probs = _stacked(windows, n_steps)
+    probs = grid_stack(n_steps + 1, n_steps)
+    size = 2 * n_steps + 1
+    dstate = initial_density(0)
+    for n in range(n_steps + 1):
+        if n > 0:
+            dstate = _density_step(dstate, config, sublattice=True)
+        window = dstate.site_probabilities()
+        check_unit_total(window.sum(), f"oracle trace at step {n}")
+        sites = sublattice_sites(n, size)
+        probs[n, sites, sites] = window
     return WalkResult(config, probs, variance_series(probs, n_steps), None)

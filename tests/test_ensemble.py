@@ -154,12 +154,17 @@ class TestBatchedChunk:
 
 
 class TestParallelDeterminism:
-    def test_identical_results_for_1_2_4_8_workers(self):
-        # R=70: three chunks, the last one ragged, so two workers share them
+    # R=70: three chunks, the last one ragged, so two workers share them;
+    # the shard [7, 70) has two chunks, neither aligned to a multiple of 32
+    @pytest.mark.parametrize("start,stop", [(0, 70), (7, 70)], ids=["full", "shard"])
+    def test_identical_results_for_1_2_4_8_workers(self, start, stop):
         cfg = config(realizations=70)
-        base = run_ensemble(cfg, threads=1)
+        base = run_ensemble(cfg, threads=1, traj_start=start, traj_stop=stop)
+        full = run_ensemble(cfg, threads=1)
+        np.testing.assert_array_equal(base.per_trajectory_variances,
+                                      full.per_trajectory_variances[start:stop])
         for threads in (2, 4, 8):
-            other = run_ensemble(cfg, threads=threads)
+            other = run_ensemble(cfg, threads=threads, traj_start=start, traj_stop=stop)
             np.testing.assert_array_equal(other.probabilities,
                                           base.probabilities)
             np.testing.assert_array_equal(other.variances, base.variances)
@@ -240,6 +245,21 @@ class TestMerge:
         assert merged.trajectory_count == 48
         sums = merged.probabilities.sum(axis=(1, 2))
         assert np.abs(sums - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("gap_first", [False, True])
+    def test_partial_may_fill_the_gap_of_another(self, gap_first):
+        cfg = config(realizations=64)
+        full = run_ensemble(cfg)
+        a = run_ensemble(cfg, traj_start=0, traj_stop=24)
+        gap = run_ensemble(cfg, traj_start=24, traj_stop=40)
+        b = run_ensemble(cfg, traj_start=40, traj_stop=64)
+        outer = merge_results([a, b])
+        merged = merge_results([gap, outer] if gap_first else [outer, gap])
+        assert merged.traj_ranges == [(0, 64)]
+        np.testing.assert_array_equal(merged.per_trajectory_variances,
+                                      full.per_trajectory_variances)
+        np.testing.assert_array_equal(merged.variance_stderr,
+                                      merge_results([a, gap, b]).variance_stderr)
 
     def test_overlapping_ranges_rejected(self):
         cfg = config(realizations=64)

@@ -272,6 +272,18 @@ class TestCliRun:
         assert f"{steps + 1} x {size} x {size} grid stack" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("realizations", [10**18, 10**16])
+    def test_variance_array_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
+                                                                     realizations):
+        # R x 2 variance rows: 1.6e19 bytes passes 2**63 and numpy refuses
+        # the shape; 1.6e17 bytes is beyond a 57-bit address space
+        out = tmp_path / "out"
+        assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "1",
+                     "--realizations", str(realizations), "--seed", "1", "--threads", "1",
+                     "--out-dir", str(out)]) == 2
+        assert f"{realizations} x 2 variance array" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliOracle:
     def test_oracle_writes_null_stderr(self, tmp_path):
