@@ -9,11 +9,13 @@ for any number of workers.
 A chunk runs its trajectories in groups, each through one
 evolve.add_trajectories call.  The group width is derived from the step
 count, never set: as many trajectories as fit GROUP_BYTES of amplitudes.
-Each step's windows are added into the chunk's probability sum in
-trajectory order as they come, and each trajectory's variance row comes
-from the x and y marginals of its windows, so no per-trajectory
-(N+1, 2N+1, 2N+1) stack exists, and the width changes no bit.  The
-chunks write their rows into the run's (R, N+1) variance array.
+Each step's windows are added into the chunk's per-step sublattice sums,
+one (n + 1, n + 1) grid per step n, in trajectory order as they come, and
+each trajectory's variance row comes from the x and y marginals of its
+windows, so the width changes no bit.  A chunk's sums hold
+sum_n (n + 1)^2 values (2.8 MB at N = 100), about a twelfth of one dense
+(N+1, 2N+1, 2N+1) stack; the run builds a dense stack only once, for the
+mean.  The chunks write their rows into the run's (R, N+1) variance array.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .analysis import grid_stack, variance_series, zeroed_array
 from .disorder import DisorderConfig
 from .errors import ConfigError, check_unit_total
-from .evolve import WalkResult, add_trajectories
+from .evolve import WalkResult, add_trajectories, scatter_windows, zero_windows
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
@@ -61,18 +63,19 @@ def _group_width(n_steps: int) -> int:
     return max(1, min(CHUNK_SIZE, GROUP_BYTES // per_trajectory))
 
 
-def _run_chunk(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Sum of probability stacks and per-trajectory variance rows for
-    [start, stop), run in groups of _group_width by add_trajectories, which
-    adds into the sum in trajectory order, so no bit depends on the width."""
+def _run_chunk(args) -> tuple[int, list[np.ndarray], np.ndarray]:
+    """Per-step sums of the probability windows and per-trajectory variance
+    rows for [start, stop), run in groups of _group_width by
+    add_trajectories, which adds into the sums in trajectory order, so no
+    bit depends on the width."""
     config, start, stop = args
-    prob_sum = grid_stack(config.steps + 1, config.steps)
+    window_sums = zero_windows(config.steps)
     var_rows = np.empty((stop - start, config.steps + 1))
     width = _group_width(config.steps)
     for lo in range(start, stop, width):
         hi = min(lo + width, stop)
-        add_trajectories(config, lo, hi, prob_sum, var_rows[lo - start:hi - start])
-    return start, prob_sum, var_rows
+        add_trajectories(config, lo, hi, window_sums, var_rows[lo - start:hi - start])
+    return start, window_sums, var_rows
 
 
 def run_ensemble(config: DisorderConfig, threads: int = 1,
@@ -103,32 +106,34 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     chunk_args = ((config, a, min(a + CHUNK_SIZE, stop)) for a in starts)
     workers = min(threads, len(starts))
     if workers == 1:
-        prob_sum = _sum_chunks(map(_run_chunk, chunk_args), per_traj_var, traj_start)
+        window_sums = _sum_chunks(map(_run_chunk, chunk_args), per_traj_var, traj_start)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            prob_sum = _sum_chunks(pool.map(_run_chunk, chunk_args), per_traj_var, traj_start)
-    np.divide(prob_sum, stop - traj_start, out=mean_probs)
+            window_sums = _sum_chunks(pool.map(_run_chunk, chunk_args), per_traj_var,
+                                      traj_start)
+    scatter_windows(window_sums, mean_probs, stop - traj_start)
     result = _finalize(config, [(traj_start, stop)], mean_probs, per_traj_var)
     result.elapsed_seconds = time.perf_counter() - t0
     return result
 
 
-def _sum_chunks(chunk_results, per_traj_var: np.ndarray, start: int) -> np.ndarray:
+def _sum_chunks(chunk_results, per_traj_var: np.ndarray, start: int) -> list[np.ndarray]:
     """Add up chunk results in chunk order, each as it arrives, so only the
-    running sum and one chunk's sum are held; returns the probability sum,
-    and writes each chunk's variance rows into per_traj_var, whose row 0
-    is trajectory start."""
-    prob_sum = None
+    running sums and one chunk's sums are held; returns the per-step window
+    sums, and writes each chunk's variance rows into per_traj_var, whose
+    row 0 is trajectory start."""
+    window_sums = None
     row = 0
-    for chunk_start, chunk_sum, var_rows in chunk_results:
+    for chunk_start, chunk_sums, var_rows in chunk_results:
         assert chunk_start == start + row, "chunk reduction out of order"
         per_traj_var[row:row + len(var_rows)] = var_rows
         row += len(var_rows)
-        if prob_sum is None:
-            prob_sum = chunk_sum
+        if window_sums is None:
+            window_sums = chunk_sums
         else:
-            prob_sum += chunk_sum
-    return prob_sum
+            for total, part in zip(window_sums, chunk_sums):
+                total += part
+    return window_sums
 
 
 def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],

@@ -11,12 +11,14 @@ module): shape (n + 1, n + 1, 2) after n steps, and an oracle rho of
 dimension 2 (n + 1)^2.  Step n takes every other phase of its window
 |i|, |j| <= n, a strided view of the whole-lattice draw.  add_trajectories
 runs every trajectory: it steps a group of B as one (B, n + 1, n + 1, 2)
-stack, adds their windows into an (N+1, 2N+1, 2N+1) probability sum on
-the sites i = j = n (mod 2), and computes their variance rows from their
-marginals.  run_trajectory is its B = 1 call into a zeroed stack, and
-exact_run scatters its density matrix's windows the same way; both return
-a WalkResult, the result type of the ensemble too.  exact_step_density
-runs the oracle's kernels on the full grid.
+stack, adds their windows into a per-step list of (n + 1, n + 1) window
+sums, and computes their variance rows from their marginals.  Only
+scatter_windows builds the dense (N+1, 2N+1, 2N+1) grid stack of a
+result, placing step n's window on the sites i = j = n (mod 2).
+run_trajectory is add_trajectories' B = 1 call into zeroed windows, and
+exact_run collects its density matrix's windows; both scatter them into a
+WalkResult, the result type of the ensemble too.  exact_step_density runs
+the oracle's kernels on the full grid.
 """
 
 from __future__ import annotations
@@ -110,21 +112,40 @@ def _group_phases(samplers: list[PhaseSampler], start: int, n: int) -> PhaseMatr
     return PhaseMatrix(phases)
 
 
+def zero_windows(n_steps: int) -> list[np.ndarray]:
+    """Zeroed sublattice windows, one (n + 1, n + 1) grid per step n =
+    0..n_steps: the sum add_trajectories adds into."""
+    return [np.zeros((n + 1, n + 1)) for n in range(n_steps + 1)]
+
+
+def scatter_windows(windows: list[np.ndarray], probs: np.ndarray,
+                    count: int | None = None) -> np.ndarray:
+    """Write step n's sublattice window, divided by count where one is
+    given, onto the sites i = j = n (mod 2) of probs[n], a zeroed
+    (N + 1, L, L) grid stack, L = 2N + 1; returns probs.  The other sites
+    stay +0.0, as the dense sums of the same windows would leave them."""
+    size = probs.shape[1]
+    for n, window in enumerate(windows):
+        sites = sublattice_sites(n, size)
+        probs[n, sites, sites] = window if count is None else window / count
+    return probs
+
+
 def add_trajectories(config: DisorderConfig, start: int, stop: int,
-                     prob_sum: np.ndarray, var_rows: np.ndarray) -> None:
-    """Run trajectories start..stop-1: add their probability grids into
-    prob_sum, of shape (N + 1, L, L), L = 2N + 1, and write trajectory
-    start + b's variance series into var_rows[b].
+                     window_sums: list[np.ndarray], var_rows: np.ndarray) -> None:
+    """Run trajectories start..stop-1: add their step-n probability windows
+    into window_sums[n], of shape (n + 1, n + 1) (see zero_windows), and
+    write trajectory start + b's variance series into var_rows[b].
 
     The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
     sublattice stack, each with its own PhaseSampler.  Each step's windows
-    are added into prob_sum's sublattice sites in trajectory order.  The
-    variance rows come from each trajectory's x and y marginals, built as
-    variance_series builds them from a full stack: a row sum runs over the
-    whole zero-padded grid row, since numpy's pairwise sum groups a shorter
-    row differently, while a column sum adds rows in order and may skip
-    the zeros.  So no bit depends on B, and B = 1 into a zeroed prob_sum
-    gives the trajectory's own grids.  A failing unit total raises
+    are added into its sum in trajectory order.  The variance rows come
+    from each trajectory's x and y marginals, built as variance_series
+    builds them from a full stack: a row sum runs over the whole
+    zero-padded grid row, since numpy's pairwise sum groups a shorter row
+    differently, while a column sum adds rows in order and may skip the
+    zeros.  So no bit depends on B, and B = 1 into zeroed windows gives the
+    trajectory's own windows.  A failing unit total raises
     InvariantViolationError naming the first trajectory, in index order,
     that fails at the first failing step.
     """
@@ -140,10 +161,9 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
         windows = state.probabilities()
         for k, total in enumerate(windows.sum(axis=(1, 2)), start):
             check_unit_total(total, f"trajectory {k}: norm at step {n}")
-        sites = sublattice_sites(n, size)
-        grid = prob_sum[n, sites, sites]
         for window in windows:
-            grid += window
+            window_sums[n] += window
+        sites = sublattice_sites(n, size)
         rows = np.zeros(windows.shape[:2] + (size,))
         rows[..., sites] = windows
         px[:, n, sites] = rows.sum(axis=2)
@@ -154,11 +174,12 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> WalkResult:
     """Run one realization for config.steps steps: add_trajectories for
-    the one trajectory into a zeroed stack."""
+    the one trajectory into zeroed windows, scattered onto a grid stack."""
     probs = grid_stack(config.steps + 1, config.steps)
+    windows = zero_windows(config.steps)
     variances = np.empty((1, config.steps + 1))
-    add_trajectories(config, trajectory_index, trajectory_index + 1, probs, variances)
-    return WalkResult(config, probs, variances[0], None)
+    add_trajectories(config, trajectory_index, trajectory_index + 1, windows, variances)
+    return WalkResult(config, scatter_windows(windows, probs), variances[0], None)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +304,12 @@ def exact_run(config: DisorderConfig) -> WalkResult:
             f"(dense density matrix), got {n_steps}"
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
-    probs = grid_stack(n_steps + 1, n_steps)
-    size = 2 * n_steps + 1
+    windows = []
     dstate = initial_density(0)
     for n in range(n_steps + 1):
         if n > 0:
             dstate = _density_step(dstate, config, sublattice=True)
-        window = dstate.site_probabilities()
-        check_unit_total(window.sum(), f"oracle trace at step {n}")
-        sites = sublattice_sites(n, size)
-        probs[n, sites, sites] = window
+        windows.append(dstate.site_probabilities())
+        check_unit_total(windows[n].sum(), f"oracle trace at step {n}")
+    probs = scatter_windows(windows, grid_stack(n_steps + 1, n_steps))
     return WalkResult(config, probs, variance_series(probs, n_steps), None)

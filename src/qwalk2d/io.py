@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from io import BytesIO
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -214,23 +214,32 @@ def write_manifest(manifest: RunManifest, path) -> None:
 # CSV artifacts
 # ---------------------------------------------------------------------------
 
+_CSV_HEADER = "step,i,j,p"
+
+
 def write_distribution_csv(dists, path) -> None:
-    """Write site distributions as rows `step,i,j,p`, omitting zero sites.
+    """Write a sequence of site distributions as rows `step,i,j,p`,
+    omitting zero sites.
 
     Every distribution must sum to 1 (see check_unit_total), so an empty
-    (all-zero) distribution is rejected outright.
+    (all-zero) distribution is rejected outright.  All of them are checked
+    before the file is opened, so a rejected list writes no file.  The rows
+    are then written one step at a time; p is float.__repr__ of the value,
+    formatted at C level by the repr of the step's value list.
     """
-    lines = ["step,i,j,p"]
     for dist in dists:
         check_unit_total(dist.probs.sum(), f"distribution sum at step {dist.step}")
-        h = dist.half_width
-        ii, jj = np.nonzero(dist.probs > 0.0)
-        for u, v in zip(ii.tolist(), jj.tolist()):
-            lines.append(f"{dist.step},{u - h},{v - h},{float(dist.probs[u, v])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as handle:
+        handle.write(_CSV_HEADER + "\n")
+        for dist in dists:
+            h = dist.half_width
+            ii, jj = np.nonzero(dist.probs > 0.0)
+            values = dist.probs[ii, jj].astype(float, copy=False).tolist()
+            rows = zip(repeat(str(dist.step)), map(str, (ii - h).tolist()),
+                       map(str, (jj - h).tolist()), repr(values)[1:-1].split(", "))
+            handle.write("\n".join(map(",".join, rows)) + "\n")
 
 
-_CSV_HEADER = "step,i,j,p"
 _CSV_ROW = np.dtype([("step", "i8"), ("i", "i8"), ("j", "i8"), ("p", "f8")])
 # the bytes of a file body the fast path parses: everything the writer emits,
 # plus spaces, tabs and CRLF.  np.loadtxt reads some other bytes where int()
@@ -449,7 +458,8 @@ def render_heatmap_svg(dist: Distribution2D, path, log_scale: bool = False) -> N
 
     Linear scale maps [0, max p] onto the color ramp; log scale spans from
     the smallest positive probability up to the maximum.  The x axis is i
-    (rightward), the y axis is j (upward).
+    (rightward), the y axis is j (upward).  A grid whose maximum is not
+    finite and positive (all zero, NaN or inf) raises InvariantViolationError.
     """
     h = dist.half_width
     size = dist.probs.shape[0]
@@ -458,8 +468,10 @@ def render_heatmap_svg(dist: Distribution2D, path, log_scale: bool = False) -> N
     width = 2 * margin + size * cell
     height = 2 * margin + size * cell
     pmax = float(dist.probs.max())
-    if pmax <= 0.0:
-        raise InvariantViolationError("cannot render an empty distribution")
+    if not (math.isfinite(pmax) and pmax > 0.0):
+        raise InvariantViolationError(
+            f"cannot render step {dist.step}: its largest probability is {pmax!r}, "
+            "not finite and positive")
     positive = dist.probs[dist.probs > 0.0]
     pmin = float(positive.min())
     if log_scale:

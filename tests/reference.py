@@ -8,12 +8,15 @@ package, so agreement is meaningful.
 read_distribution_csv is the reader as it was before the package parsed
 the CSV at C speed, kept verbatim.  It uses the package's Distribution2D
 and error types only so that its results and messages compare directly.
+write_distribution_csv is the writer as it was before it streamed each
+step's rows, formatting one row at a time; it is kept verbatim too.
 """
 
 import cmath
 import csv
 import math
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -156,3 +159,19 @@ def read_distribution_csv(path) -> list[Distribution2D]:
         check_unit_total(grids[step].sum(), f"{path}: distribution sum at step {step}")
         dists.append(Distribution2D(grids[step], half_width, step))
     return dists
+
+
+def write_distribution_csv(dists, path) -> None:
+    """Write site distributions as rows `step,i,j,p`, omitting zero sites.
+
+    Every distribution must sum to 1 (see check_unit_total), so an empty
+    (all-zero) distribution is rejected outright.
+    """
+    lines = ["step,i,j,p"]
+    for dist in dists:
+        check_unit_total(dist.probs.sum(), f"distribution sum at step {dist.step}")
+        h = dist.half_width
+        ii, jj = np.nonzero(dist.probs > 0.0)
+        for u, v in zip(ii.tolist(), jj.tolist()):
+            lines.append(f"{dist.step},{u - h},{v - h},{float(dist.probs[u, v])!r}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,11 +126,38 @@ class TestBatchedChunk:
                                            (DisorderMode.DYNAMICAL_UNIFORM, math.pi)])
     def test_chunk_matches_one_trajectory_at_a_time(self, mode, zeta):
         cfg = config(mode, zeta, steps=64, realizations=9, seed=17)
-        start, prob_sum, var_rows = ensemble._run_chunk((cfg, 0, 9))
+        start, window_sums, var_rows = ensemble._run_chunk((cfg, 0, 9))
         ref_sum, ref_rows = reference_chunk(cfg, 0, 9)
         assert start == 0
-        np.testing.assert_array_equal(prob_sum, ref_sum)
+        size = ref_sum.shape[1]
+        assert len(window_sums) == cfg.steps + 1
+        for n, window in enumerate(window_sums):
+            sites = evolve.sublattice_sites(n, size)
+            np.testing.assert_array_equal(window, ref_sum[n, sites, sites])
         np.testing.assert_array_equal(var_rows, ref_rows)
+
+    def test_chunk_sums_hold_only_the_sublattice(self):
+        # sum_n (n + 1)^2 values, not the (N + 1) (2N + 1)^2 of a dense stack
+        n_steps = 30
+        _, window_sums, _ = ensemble._run_chunk((config(steps=n_steps, realizations=2), 0, 2))
+        assert sum(w.size for w in window_sums) == sum((n + 1) ** 2 for n in range(n_steps + 1))
+        assert [w.shape for w in window_sums] == [(n + 1, n + 1) for n in range(n_steps + 1)]
+
+    def test_run_peaks_below_two_dense_stacks(self):
+        # the run holds one dense (N + 1, 2N + 1, 2N + 1) mean stack and keeps
+        # every trajectory-side sum on the sublattice, so the traced peak is
+        # about 1.5 stacks; a chunk summing into a dense stack of its own
+        # would read about 2.4
+        cfg = config(steps=60, realizations=4)
+        run_ensemble(cfg, threads=1)  # warm-up: imports and numpy's first-call caches
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = 8 * (cfg.steps + 1) * (2 * cfg.steps + 1) ** 2
+        assert peak < 2 * dense
 
     @pytest.mark.parametrize("group_bytes", [1, 1 << 40], ids=["width-1", "width-chunk"])
     def test_group_width_changes_no_bit(self, monkeypatch, group_bytes):

@@ -106,13 +106,20 @@ class TestDistributionCsv:
                  make_dist(FIRST_STEP, 2, step=1)]
         path = tmp_path / "d.csv"
         write_distribution_csv(dists, path)
-        assert sum(1 for _ in open(path)) == 1 + 1 + 4
+        assert len(path.read_text().splitlines()) == 1 + 1 + 4
         back = read_distribution_csv(path)
         assert len(back) == 2
         for want, got in zip(dists, back):
             assert got.step == want.step
             # the reader sizes the grid to the data, here half width 1
             np.testing.assert_array_equal(np.pad(got.probs, 2 - got.half_width), want.probs)
+
+    def test_integer_grid_written_as_floats(self, tmp_path):
+        # p is the repr of each value as a Python float, whatever the grid's dtype
+        probs = np.zeros((3, 3), dtype=np.int64)
+        probs[1, 1] = 1
+        write_distribution_csv([Distribution2D(probs, 1, 0)], tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text() == "step,i,j,p\n0,0,0,1.0\n"
 
     def test_unnormalized_distribution_rejected(self, tmp_path):
         bad = make_dist({(0, 0): 0.5}, 1)
@@ -127,8 +134,11 @@ class TestDistributionCsv:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_distribution_rejected(self, tmp_path, bad):
         dists = [make_dist({(0, 0): 1.0}, 1, step=0), make_dist({(1, 1): bad}, 1, step=3)]
+        path = tmp_path / "d.csv"
         with pytest.raises(InvariantViolationError, match="step 3"):
-            write_distribution_csv(dists, tmp_path / "d.csv")
+            write_distribution_csv(dists, path)
+        # every step is checked before the file is opened
+        assert not path.exists()
 
     def test_bad_header_rejected_on_read(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -191,6 +201,15 @@ class TestHeatmap:
         assert text.startswith("<svg")
         # 2 background rects + 4 site rects
         assert text.count("<rect") == 6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
+    def test_non_finite_grid_rejected(self, tmp_path, bad, log_scale):
+        dist = make_dist({(0, 0): 0.5, (1, 1): bad}, 1, step=2)
+        path = tmp_path / "h.svg"
+        with pytest.raises(InvariantViolationError, match="step 2"):
+            render_heatmap_svg(dist, path, log_scale=log_scale)
+        assert not path.exists()
 
     def test_log_scale_changes_output(self, tmp_path):
         dist = make_dist({(0, 0): 0.9, (2, 2): 0.09, (-2, -2): 0.01}, 2)

@@ -40,6 +40,7 @@ from qwalk2d.io import (
 )
 from conftest import full_grid_step, random_state
 from reference import read_distribution_csv as reference_read_distribution_csv
+from reference import write_distribution_csv as reference_write_distribution_csv
 
 seeds = st.integers(0, 2**32 - 1)
 half_widths = st.integers(1, 4)
@@ -292,6 +293,28 @@ LINE_EDITS = {
     "nan p": _set(3, lambda f: "nan"),
     "inf p": _set(3, lambda f: "inf"),
 }
+
+
+class TestDistributionCsvWriter:
+    @settings(deadline=None, max_examples=200)
+    @given(seed=seeds, n_steps=st.integers(0, 4), power=st.integers(1, 200))
+    def test_same_bytes_as_the_row_by_row_writer(self, tmp_path_factory, seed, n_steps, power):
+        # powers of uniform values reach from 1 into the subnormal range, next
+        # to zeros of both signs, which both writers omit; so every repr form
+        # (plain, exponent, subnormal) occurs
+        rng = np.random.default_rng(seed)
+        size = 2 * n_steps + 1
+        dists = []
+        for n in range(n_steps + 1):
+            probs = rng.random((size, size)) ** power * rng.choice([-1.0, 0.0, 1.0], (size, size))
+            probs[n_steps, n_steps] = 1.0
+            probs /= probs[probs > 0].sum()
+            probs[probs < 0] = -0.0
+            dists.append(Distribution2D(probs, n_steps, n))
+        folder = tmp_path_factory.mktemp("csv")
+        write_distribution_csv(dists, folder / "new.csv")
+        reference_write_distribution_csv(dists, folder / "old.csv")
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
 class TestDistributionCsvReader:
