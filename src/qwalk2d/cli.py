@@ -127,12 +127,21 @@ def _fit_and_write(path, manifest: RunManifest, engine: str, config, variances, 
     write_result_json(document, path)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (a taskset or a container limit narrows it), else
+    every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_run(args) -> int:
     pairs = read_manifest_pairs(args.config) if args.config else {}
     manifest = manifest_from_pairs({**pairs, **_flag_pairs(args)})
     manifest.engine = args.engine  # the subcommand picks it; a file's engine is only checked
     config = manifest.disorder_config()
-    threads = manifest.threads if manifest.threads is not None else (os.cpu_count() or 1)
+    threads = manifest.threads if manifest.threads is not None else _usable_cpus()
     result = args.runner(config, threads)
     dists = result.distributions()
 

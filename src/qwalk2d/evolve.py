@@ -23,6 +23,7 @@ the oracle's kernels on the full grid.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,7 @@ from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
 from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
 from .state import (
     WalkState,
-    _grow_x,
-    _grow_y,
+    _coin_grow,
     apply_coin,
     apply_dephasing,
     apply_shift_x,
@@ -51,12 +51,11 @@ MAX_ORACLE_STEPS = 20
 def _unitary(state: WalkState, sublattice: bool) -> WalkState:
     """The deterministic part of a step, U = S_Y H S_X H, on the trailing
     (L, L, 2) axes of a sublattice or full-grid state; each intermediate is
-    dropped as soon as it is consumed."""
-    shift_x, shift_y = (_grow_x, _grow_y) if sublattice else (apply_shift_x, apply_shift_y)
-    state = apply_coin(state)
-    state = shift_x(state)
-    state = apply_coin(state)
-    return shift_y(state)
+    dropped as soon as it is consumed.  On the sublattice each coin and
+    shift pair is one fused kernel, state._coin_grow."""
+    if sublattice:
+        return _coin_grow(_coin_grow(state, -3), -2)
+    return apply_shift_y(apply_coin(apply_shift_x(apply_coin(state))))
 
 
 def _step(state: WalkState, phases: PhaseMatrix) -> WalkState:
@@ -131,11 +130,22 @@ def scatter_windows(windows: list[np.ndarray], probs: np.ndarray,
     return probs
 
 
+def _own_turn(n: int) -> contextlib.nullcontext:
+    """The turn of a group that shares its window sums with no other."""
+    return contextlib.nullcontext()
+
+
 def add_trajectories(config: DisorderConfig, start: int, stop: int,
-                     window_sums: list[np.ndarray], var_rows: np.ndarray) -> None:
+                     window_sums: list[np.ndarray], var_rows: np.ndarray,
+                     turn=_own_turn) -> None:
     """Run trajectories start..stop-1: add their step-n probability windows
     into window_sums[n], of shape (n + 1, n + 1) (see zero_windows), and
     write trajectory start + b's variance series into var_rows[b].
+
+    Each step's additions run inside `with turn(n):`.  Groups that share
+    window_sums from several threads pass a turn that waits until the
+    groups before this one have added their step-n windows, and passes
+    the turn on afterwards; alone, a group owns every turn.
 
     The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
     sublattice stack, each with its own PhaseSampler.  Each step's windows
@@ -161,8 +171,9 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
         windows = state.probabilities()
         for k, total in enumerate(windows.sum(axis=(1, 2)), start):
             check_unit_total(total, f"trajectory {k}: norm at step {n}")
-        for window in windows:
-            window_sums[n] += window
+        with turn(n):
+            for window in windows:
+                window_sums[n] += window
         sites = sublattice_sites(n, size)
         rows = np.zeros(windows.shape[:2] + (size,))
         rows[..., sites] = windows

@@ -14,8 +14,10 @@ Each axis has one shift kernel, _grow_x or _grow_y: the H amplitude keeps
 its index along the axis and the V amplitude moves to the next index, in
 an axis one longer.  On the sublattice that is the whole shift, since index
 u holds i = 2u - n before it and 2u - (n + 1) after.  The full-grid
-apply_shift_x/y is the kernel followed by a crop back to 2h + 1 rows.  The
-coin and the dephasing kick act site by site, so they serve both layouts.
+apply_shift_x/y is the kernel followed by a crop back to 2h + 1 rows.
+The engines apply each coin and sublattice shift together, as one fused
+kernel (_coin_grow) with the bits of the two in turn.  The coin and the
+dephasing kick act site by site, so they serve both layouts.
 At half width 0 the two layouts coincide.  All operations are pure: they
 return a new state and never mutate their input.
 """
@@ -109,6 +111,32 @@ def _grow_y(state: WalkState) -> WalkState:
     out = np.zeros(a.shape[:-2] + (a.shape[-2] + 1, 2), dtype=a.dtype)
     out[..., :-1, COIN_H] = a[..., COIN_H]
     out[..., 1:, COIN_V] = a[..., COIN_V]
+    return WalkState(out, state.half_width, state.step_count)
+
+
+def _coin_grow(state: WalkState, axis: int) -> WalkState:
+    """apply_coin, then the shift kernel along axis (-3 for _grow_x, -2 for
+    _grow_y), bit for bit, written into one array: each coin output goes
+    straight to its shifted rows, and only the new edge row of each coin
+    component is zeroed.  Half the numpy calls of the two steps, and no
+    intermediate state."""
+    a = state.amps
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.empty(shape, dtype=a.dtype)
+    inner = (slice(None),) * (-2 - axis)  # the axes between the grown one and the coin
+
+    def rows(span, coin):
+        return (Ellipsis, span) + inner + (coin,)
+
+    h = out[rows(slice(None, -1), COIN_H)]
+    v = out[rows(slice(1, None), COIN_V)]
+    np.add(a[..., COIN_H], a[..., COIN_V], out=h)
+    h *= _INV_SQRT2
+    np.subtract(a[..., COIN_H], a[..., COIN_V], out=v)
+    v *= _INV_SQRT2
+    out[rows(-1, COIN_H)] = 0
+    out[rows(0, COIN_V)] = 0
     return WalkState(out, state.half_width, state.step_count)
 
 

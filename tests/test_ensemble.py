@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -85,6 +87,69 @@ class TestRunEnsemble:
         with pytest.raises(TrajectoryFailure, match="trajectory 3"):
             run_ensemble(config(realizations=8))
 
+    # N=60, R=32: one chunk of four groups of 8 on threads lanes.  The 2nd
+    # group fails at step 30; the 3rd fails at step 5, which with three
+    # lanes is the first failure to happen, or runs on and waits at step 30
+    # for the turn the 2nd group abandoned
+    @pytest.mark.parametrize("failures", [((9, 30), (17, 5)), ((9, 30),)],
+                             ids=["2nd-and-3rd-group", "2nd-group"])
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_failing_lane_reports_the_serial_error_and_never_hangs(self, monkeypatch,
+                                                                   threads, failures):
+        class FailingSampler(PhaseSampler):
+            def __init__(self, cfg, k):
+                super().__init__(cfg, k)
+                self.index = k
+
+            def phases_for_step(self, step, half_width):
+                if (self.index, step) in failures:
+                    raise ValueError("synthetic")
+                return super().phases_for_step(step, half_width)
+
+        monkeypatch.setattr(evolve, "PhaseSampler", FailingSampler)
+        cfg = config(steps=60, realizations=32)
+        with pytest.raises(TrajectoryFailure) as serial:
+            run_ensemble(cfg, threads=1)
+        assert str(serial.value) == "trajectory 9 failed at step 30: synthetic"
+        raised = []
+
+        def run():
+            try:
+                run_ensemble(cfg, threads=threads)
+            except Exception as exc:
+                raised.append(exc)
+
+        lanes = threading.Thread(target=run, daemon=True)
+        lanes.start()
+        lanes.join(60)
+        assert not lanes.is_alive(), "a lane is still waiting for its turn"
+        assert [type(exc) for exc in raised] == [TrajectoryFailure]
+        assert str(raised[0]) == str(serial.value)
+
+    def test_abandoned_turn_raises_in_the_waiter(self):
+        turns = ensemble._StepTurns(2)
+        with turns.turn(0, 0):
+            pass
+        with turns.turn(1, 0):
+            pass
+        raised = []
+
+        def group_1_step_1():
+            try:
+                with turns.turn(1, 1):
+                    pass
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        waiter = threading.Thread(target=group_1_step_1, daemon=True)
+        waiter.start()
+        waiter.join(0.2)
+        assert waiter.is_alive()  # group 0 has not added step 1
+        turns.leave(0)  # and now never will
+        waiter.join(60)
+        assert not waiter.is_alive()
+        assert [str(exc) for exc in raised] == ["group 0 abandoned its turn at step 1"]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_average_rejected(self, bad):
         from qwalk2d.ensemble import _finalize
@@ -126,20 +191,21 @@ class TestBatchedChunk:
                                            (DisorderMode.DYNAMICAL_UNIFORM, math.pi)])
     def test_chunk_matches_one_trajectory_at_a_time(self, mode, zeta):
         cfg = config(mode, zeta, steps=64, realizations=9, seed=17)
-        start, window_sums, var_rows = ensemble._run_chunk((cfg, 0, 9))
         ref_sum, ref_rows = reference_chunk(cfg, 0, 9)
-        assert start == 0
         size = ref_sum.shape[1]
-        assert len(window_sums) == cfg.steps + 1
-        for n, window in enumerate(window_sums):
-            sites = evolve.sublattice_sites(n, size)
-            np.testing.assert_array_equal(window, ref_sum[n, sites, sites])
-        np.testing.assert_array_equal(var_rows, ref_rows)
+        for lanes in (1, 2):  # on this thread, and the two groups on two threads
+            start, window_sums, var_rows = ensemble._run_chunk((cfg, 0, 9, lanes))
+            assert start == 0
+            assert len(window_sums) == cfg.steps + 1
+            for n, window in enumerate(window_sums):
+                sites = evolve.sublattice_sites(n, size)
+                np.testing.assert_array_equal(window, ref_sum[n, sites, sites])
+            np.testing.assert_array_equal(var_rows, ref_rows)
 
     def test_chunk_sums_hold_only_the_sublattice(self):
         # sum_n (n + 1)^2 values, not the (N + 1) (2N + 1)^2 of a dense stack
         n_steps = 30
-        _, window_sums, _ = ensemble._run_chunk((config(steps=n_steps, realizations=2), 0, 2))
+        _, window_sums, _ = ensemble._run_chunk((config(steps=n_steps, realizations=2), 0, 2, 1))
         assert sum(w.size for w in window_sums) == sum((n + 1) ** 2 for n in range(n_steps + 1))
         assert [w.shape for w in window_sums] == [(n + 1, n + 1) for n in range(n_steps + 1)]
 
@@ -201,32 +267,66 @@ class TestParallelDeterminism:
             np.testing.assert_array_equal(other.per_trajectory_variances,
                                           base.per_trajectory_variances)
 
-    @pytest.mark.parametrize("realizations,pools", [(64, [2]), (32, [])],
-                             ids=["two-chunks", "one-chunk"])
-    def test_worker_count_follows_the_chunks(self, monkeypatch, realizations, pools):
-        made = []
+    # at N=60 a group is 8 trajectories: R=32 is one chunk of 4 groups, run
+    # on min(threads, 4) lanes, and so is the unaligned shard [5, 37)
+    @pytest.mark.parametrize("realizations,start,stop", [(32, 0, 32), (37, 5, 37)],
+                             ids=["one-chunk", "shard"])
+    def test_identical_results_for_1_2_3_8_lanes(self, realizations, start, stop):
+        cfg = config(steps=60, realizations=realizations)
+        base = run_ensemble(cfg, threads=1, traj_start=start, traj_stop=stop)
+        for threads in (2, 3, 8):
+            other = run_ensemble(cfg, threads=threads, traj_start=start, traj_stop=stop)
+            np.testing.assert_array_equal(other.probabilities, base.probabilities)
+            np.testing.assert_array_equal(other.variances, base.variances)
+            np.testing.assert_array_equal(other.variance_stderr, base.variance_stderr)
+            np.testing.assert_array_equal(other.per_trajectory_variances,
+                                          base.per_trajectory_variances)
 
-        class InProcessPool:
-            """Records the pool size it is asked for and maps in-process."""
+    # at N=4 a chunk is one group, so no lane starts however many threads
+    # are asked for; at N=60 a chunk of 32 is 4 groups and the ragged last
+    # chunk of R=70 (6 trajectories) one, so lanes never outnumber groups.
+    # A chunk's calling thread is one of its lanes, so 4 lanes start 3 threads
+    @pytest.mark.parametrize("steps,realizations,pools,helpers",
+                             [(4, 64, [2], []), (4, 32, [], []),
+                              (60, 32, [], [3]), (60, 70, [3], [3, 3])],
+                             ids=["two-chunks", "one-chunk", "one-chunk-lanes",
+                                  "three-chunks-lanes"])
+    def test_worker_count_follows_the_chunks(self, monkeypatch, steps, realizations, pools,
+                                             helpers):
+        made = {"processes": [], "threads": []}
 
-            def __init__(self, max_workers):
-                made.append(max_workers)
+        def in_process(kind):
+            class Pool:
+                """Records the pool size it is asked for and runs each task
+                in-process, in order, so it starts no process or thread."""
 
-            def __enter__(self):
-                return self
+                def __init__(self, max_workers):
+                    made[kind].append(max_workers)
 
-            def __exit__(self, *exc):
-                return False
+                def __enter__(self):
+                    return self
 
-            def map(self, fn, items):
-                return map(fn, items)
+                def __exit__(self, *exc):
+                    return False
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
-        cfg = config(steps=4, realizations=realizations)
+                def map(self, fn, items):
+                    return map(fn, items)
+
+                def submit(self, fn):
+                    done = Future()
+                    done.set_result(fn())
+                    return done
+
+            return Pool
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", in_process("processes"))
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", in_process("threads"))
+        cfg = config(steps=steps, realizations=realizations)
         result = run_ensemble(cfg, threads=1000)
-        assert made == pools
+        assert made == {"processes": pools, "threads": helpers}
         np.testing.assert_array_equal(result.probabilities,
                                       run_ensemble(cfg, threads=1).probabilities)
+        assert made == {"processes": pools, "threads": helpers}
 
 
 class TestStatisticalSanity:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk2d import Distribution2D, InvariantViolationError
+from qwalk2d import Distribution2D, InvariantViolationError, run_ensemble
 from qwalk2d.cli import main
 from qwalk2d.errors import ConfigError
 from qwalk2d.io import (
@@ -264,6 +264,35 @@ class TestCliRun:
         strip = lambda d: [line for line in (d / "manifest.cfg").read_text().splitlines()
                            if not line.startswith("out_dir")]
         assert strip(dirs[0]) == strip(dirs[1])
+
+    # unset, threads is the size of the affinity set (a taskset or container
+    # limit narrows it), not the host's CPU count; without an affinity call
+    # it falls back to the CPU count, and to 1 when that is unknown
+    @pytest.mark.parametrize("affinity,cpus,threads",
+                             [({0, 3}, 8, 2), (None, 5, 5), (None, None, 1)],
+                             ids=["affinity", "cpu-count", "unknown"])
+    def test_default_threads_are_the_cpus_the_process_may_use(self, tmp_path, monkeypatch,
+                                                              affinity, cpus, threads):
+        import qwalk2d.cli as cli_mod
+
+        asked = []
+
+        def recording(config, threads):
+            asked.append(threads)
+            return run_ensemble(config, threads=1)
+
+        monkeypatch.setattr(cli_mod, "run_ensemble", recording)
+        if affinity is None:
+            monkeypatch.delattr(cli_mod.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "out"
+        assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "2",
+                     "--realizations", "2", "--seed", "1", "--out-dir", str(out)]) == 0
+        assert asked == [threads]
+        manifest = (out / "manifest.cfg").read_text().splitlines()
+        assert not [line for line in manifest if line.startswith("threads")]
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"

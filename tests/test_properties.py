@@ -27,7 +27,7 @@ from qwalk2d import (
     exact_step_density,
 )
 from qwalk2d.cli import main
-from qwalk2d.state import _grow_x, _grow_y
+from qwalk2d.state import _coin_grow, _grow_x, _grow_y
 from qwalk2d.io import (
     RunManifest,
     _parsed_columns,
@@ -108,6 +108,36 @@ class TestSharedUnitary:
             stacked = op(stack).amps
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(stacked[b], op(state).amps)
+
+
+def bits(a):
+    """The bytes of an array, so -0.0 and 0.0 (and NaN payloads) differ."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestFusedCoinShift:
+    finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+
+    @settings(deadline=None, max_examples=200)
+    @given(batch=st.lists(st.integers(1, 3), min_size=0, max_size=3),
+           size=st.integers(1, 6), transposed=st.booleans(), data=st.data())
+    def test_equals_the_coin_then_the_grow_kernel(self, batch, size, transposed, data):
+        # 0 to 3 leading batch axes (the oracle uses 3); transposed, the
+        # stack is a strided view, as the oracle's ket side is
+        shape = tuple(batch) + (size, size, 2)
+        parts = [np.array(data.draw(st.lists(self.finite, min_size=math.prod(shape),
+                                             max_size=math.prod(shape))))
+                 .reshape(shape) for _ in range(2)]
+        amps = parts[0] + 1j * parts[1]
+        if transposed:
+            lead, last = list(range(len(batch))), list(range(-len(batch), 0))
+            amps = np.moveaxis(np.ascontiguousarray(np.moveaxis(amps, lead, last)), last, lead)
+        state = WalkState(amps, size - 1)
+        for axis, grow in ((-3, _grow_x), (-2, _grow_y)):
+            fused = _coin_grow(state, axis).amps
+            want = grow(apply_coin(state)).amps
+            assert fused.shape == want.shape
+            np.testing.assert_array_equal(bits(fused), bits(want))
 
 
 class TestPhaseWindow:
