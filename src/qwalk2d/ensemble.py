@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import numbers
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -169,9 +170,12 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     allocated first, so a walk too long or an ensemble too large to hold
     fails with a ConfigError before any trajectory runs or worker starts.
     """
+    stop = config.realizations if traj_stop is None else traj_stop
+    for name, value in (("threads", threads), ("traj_start", traj_start), ("traj_stop", stop)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    stop = config.realizations if traj_stop is None else traj_stop
     if not 0 <= traj_start < stop:
         raise ConfigError(f"empty or negative trajectory range [{traj_start}, {stop})")
     if stop > config.realizations:

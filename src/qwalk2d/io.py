@@ -218,7 +218,7 @@ _CSV_HEADER = "step,i,j,p"
 
 
 def write_distribution_csv(dists, path) -> None:
-    """Write a sequence of site distributions as rows `step,i,j,p`,
+    """Write an iterable of site distributions as rows `step,i,j,p`,
     omitting zero sites.
 
     Every distribution must sum to 1 (see check_unit_total), so an empty
@@ -227,6 +227,7 @@ def write_distribution_csv(dists, path) -> None:
     are then written one step at a time; p is float.__repr__ of the value,
     formatted at C level by the repr of the step's value list.
     """
+    dists = list(dists)  # read twice: an iterator would be spent by the checks
     for dist in dists:
         check_unit_total(dist.probs.sum(), f"distribution sum at step {dist.step}")
     with open(path, "w") as handle:

@@ -10,14 +10,14 @@ i = j = n (mod 2).  Amplitudes are stored in one of two layouts:
 - the parity sublattice of step n: site (i, j) at [(i + n) / 2, (j + n) / 2]
   of an (n + 1, n + 1, 2) array.  Both engines keep their states this way.
 
-Each axis has one shift kernel, _grow_x or _grow_y: the H amplitude keeps
-its index along the axis and the V amplitude moves to the next index, in
-an axis one longer.  On the sublattice that is the whole shift, since index
-u holds i = 2u - n before it and 2u - (n + 1) after.  The full-grid
-apply_shift_x/y is the kernel followed by a crop back to 2h + 1 rows.
-The engines apply each coin and sublattice shift together, as one fused
-kernel (_coin_grow) with the bits of the two in turn.  The coin and the
-dephasing kick act site by site, so they serve both layouts.
+One shift kernel, _grow(state, axis), serves both axes (axis -3 is x, -2
+is y): the H amplitude keeps its index along the axis and the V amplitude
+moves to the next index, in an axis one longer.  On the sublattice that is
+the whole shift, since index u holds i = 2u - n before it and 2u - (n + 1)
+after.  The full-grid apply_shift_x/y is _shift, the kernel followed by a
+crop back to 2h + 1 rows.  The engines apply each coin and sublattice shift
+together, as one fused kernel (_coin_grow) with the bits of the two in turn.
+The coin and the dephasing kick act site by site, so they serve both layouts.
 At half width 0 the two layouts coincide.  All operations are pure: they
 return a new state and never mutate their input.
 """
@@ -94,80 +94,69 @@ def apply_coin(state: WalkState) -> WalkState:
     return WalkState(out, state.half_width, state.step_count)
 
 
-def _grow_x(state: WalkState) -> WalkState:
-    """The x shift kernel: H amplitude stays at index u, V moves to u + 1,
-    in an x axis one longer.  On the parity sublattice this is the whole
-    shift, H to (i-1, j) and V to (i+1, j)."""
-    a = state.amps
-    out = np.zeros(a.shape[:-3] + (a.shape[-3] + 1,) + a.shape[-2:], dtype=a.dtype)
-    out[..., :-1, :, COIN_H] = a[..., COIN_H]
-    out[..., 1:, :, COIN_V] = a[..., COIN_V]
-    return WalkState(out, state.half_width, state.step_count)
+def _rows(axis: int, span, coin: int) -> tuple:
+    """Index of the rows span along axis (-3 is x, -2 is y) of one coin
+    component, over any leading batch axes."""
+    return (Ellipsis, span) + (slice(None),) * (-2 - axis) + (coin,)
 
 
-def _grow_y(state: WalkState) -> WalkState:
-    """The y shift kernel: as _grow_x, along the y axis."""
+def _grow(state: WalkState, axis: int) -> WalkState:
+    """The shift kernel along axis (-3 is x, -2 is y): H amplitude stays at
+    index u, V moves to u + 1, in an axis one longer.  On the parity
+    sublattice this is the whole shift, H to i - 1 and V to i + 1 (j for y)."""
     a = state.amps
-    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 1, 2), dtype=a.dtype)
-    out[..., :-1, COIN_H] = a[..., COIN_H]
-    out[..., 1:, COIN_V] = a[..., COIN_V]
+    shape = list(a.shape)
+    shape[axis] += 1
+    out = np.zeros(shape, dtype=a.dtype)
+    out[_rows(axis, slice(None, -1), COIN_H)] = a[..., COIN_H]
+    out[_rows(axis, slice(1, None), COIN_V)] = a[..., COIN_V]
     return WalkState(out, state.half_width, state.step_count)
 
 
 def _coin_grow(state: WalkState, axis: int) -> WalkState:
-    """apply_coin, then the shift kernel along axis (-3 for _grow_x, -2 for
-    _grow_y), bit for bit, written into one array: each coin output goes
-    straight to its shifted rows, and only the new edge row of each coin
-    component is zeroed.  Half the numpy calls of the two steps, and no
-    intermediate state."""
+    """apply_coin, then _grow along axis, bit for bit, written into one
+    array: each coin output goes straight to its shifted rows, and only the
+    new edge row of each coin component is zeroed.  Half the numpy calls of
+    the two steps, and no intermediate state."""
     a = state.amps
     shape = list(a.shape)
     shape[axis] += 1
     out = np.empty(shape, dtype=a.dtype)
-    inner = (slice(None),) * (-2 - axis)  # the axes between the grown one and the coin
-
-    def rows(span, coin):
-        return (Ellipsis, span) + inner + (coin,)
-
-    h = out[rows(slice(None, -1), COIN_H)]
-    v = out[rows(slice(1, None), COIN_V)]
+    h = out[_rows(axis, slice(None, -1), COIN_H)]
+    v = out[_rows(axis, slice(1, None), COIN_V)]
     np.add(a[..., COIN_H], a[..., COIN_V], out=h)
     h *= _INV_SQRT2
     np.subtract(a[..., COIN_H], a[..., COIN_V], out=v)
     v *= _INV_SQRT2
-    out[rows(-1, COIN_H)] = 0
-    out[rows(0, COIN_V)] = 0
+    out[_rows(axis, -1, COIN_H)] = 0
+    out[_rows(axis, 0, COIN_V)] = 0
+    return WalkState(out, state.half_width, state.step_count)
+
+
+def _shift(state: WalkState, axis: int) -> WalkState:
+    """Conditional shift along axis on the full grid: _grow, then a crop
+    back to the grid.  H's leading row and V's trailing row are dropped, and
+    LatticeOverflowError is raised if either held amplitude."""
+    grown = _grow(state, axis).amps
+    if grown[_rows(axis, 0, COIN_H)].any() or grown[_rows(axis, -1, COIN_V)].any():
+        raise LatticeOverflowError(
+            f"{'xy'[axis + 3]} shift would move amplitude past "
+            f"|{'ij'[axis + 3]}| = {state.half_width}"
+        )
+    out = np.empty_like(state.amps)
+    out[..., COIN_H] = grown[_rows(axis, slice(1, None), COIN_H)]
+    out[..., COIN_V] = grown[_rows(axis, slice(None, -1), COIN_V)]
     return WalkState(out, state.half_width, state.step_count)
 
 
 def apply_shift_x(state: WalkState) -> WalkState:
-    """Conditional shift along x on the full grid: H amplitude to (i-1, j),
-    V to (i+1, j).  _grow_x, then a crop back to the grid: H's leading row
-    and V's trailing row are dropped, and LatticeOverflowError is raised if
-    either held amplitude."""
-    grown = _grow_x(state).amps
-    if grown[..., 0, :, COIN_H].any() or grown[..., -1, :, COIN_V].any():
-        raise LatticeOverflowError(
-            f"x shift would move amplitude past |i| = {state.half_width}"
-        )
-    out = np.empty_like(state.amps)
-    out[..., COIN_H] = grown[..., 1:, :, COIN_H]
-    out[..., COIN_V] = grown[..., :-1, :, COIN_V]
-    return WalkState(out, state.half_width, state.step_count)
+    """Full-grid shift along x: H amplitude to (i-1, j), V to (i+1, j)."""
+    return _shift(state, -3)
 
 
 def apply_shift_y(state: WalkState) -> WalkState:
-    """Conditional shift along y on the full grid: H amplitude to (i, j-1),
-    V to (i, j+1).  _grow_y, then the crop of apply_shift_x along y."""
-    grown = _grow_y(state).amps
-    if grown[..., 0, COIN_H].any() or grown[..., -1, COIN_V].any():
-        raise LatticeOverflowError(
-            f"y shift would move amplitude past |j| = {state.half_width}"
-        )
-    out = np.empty_like(state.amps)
-    out[..., COIN_H] = grown[..., 1:, COIN_H]
-    out[..., COIN_V] = grown[..., :-1, COIN_V]
-    return WalkState(out, state.half_width, state.step_count)
+    """Full-grid shift along y: H amplitude to (i, j-1), V to (i, j+1)."""
+    return _shift(state, -2)
 
 
 def apply_dephasing(state: WalkState, phases: PhaseMatrix) -> WalkState:

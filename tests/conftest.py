@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qwalk2d import (
-    PhaseSampler,
+from qwalk2d.disorder import PhaseSampler
+from qwalk2d.state import (
     WalkState,
     apply_coin,
     apply_dephasing,

@@ -14,18 +14,17 @@ from scipy.integrate import quad
 from qwalk2d import (
     DisorderConfig,
     DisorderMode,
-    PhaseSampler,
     axis_cuts,
-    cross_site_coherence_factor,
     exact_run,
     fit_localization,
     fit_scaling_exponent,
-    initial_state,
     run_ensemble,
     run_trajectory,
-    same_site_coherence_factor,
     variance_series,
 )
+from qwalk2d.disorder import PhaseSampler
+from qwalk2d.evolve import cross_site_coherence_factor, same_site_coherence_factor
+from qwalk2d.state import initial_state
 from conftest import assert_support_ok, full_grid_step, walk_states
 
 MASTER_SEED = 424242

@@ -8,17 +8,14 @@ from qwalk2d import (
     DisorderConfig,
     DisorderMode,
     Distribution2D,
-    PhaseMatrix,
-    PhaseSampler,
-    WalkState,
-    apply_dephasing,
     axis_cuts,
     fit_localization,
     fit_scaling_exponent,
-    initial_state,
     run_trajectory,
     variance_series,
 )
+from qwalk2d.disorder import PhaseMatrix, PhaseSampler
+from qwalk2d.state import WalkState, apply_dephasing, initial_state
 from conftest import full_grid_step, walk_states
 from reference import ref_variance
 

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qwalk2d import (
-    ConfigError,
-    DisorderConfig,
-    DisorderMode,
-    PhaseSampler,
-    derive_trajectory_seed,
-    trajectory_rng,
-)
+from qwalk2d import ConfigError, DisorderConfig, DisorderMode
+from qwalk2d.disorder import PhaseSampler, derive_trajectory_seed, trajectory_rng
 
 
 def config(mode, zeta, steps=10, realizations=4, seed=0):

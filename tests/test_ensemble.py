@@ -13,7 +13,6 @@ from qwalk2d import (
     DisorderConfig,
     DisorderMode,
     InvariantViolationError,
-    PhaseSampler,
     TrajectoryFailure,
     exact_run,
     merge_results,
@@ -21,6 +20,7 @@ from qwalk2d import (
     run_trajectory,
     variance_series,
 )
+from qwalk2d.disorder import PhaseSampler
 
 
 def config(mode=DisorderMode.DYNAMICAL_SPATIAL, zeta=math.pi, steps=8,
@@ -327,6 +327,34 @@ class TestParallelDeterminism:
         np.testing.assert_array_equal(result.probabilities,
                                       run_ensemble(cfg, threads=1).probabilities)
         assert made == {"processes": pools, "threads": helpers}
+
+    @pytest.mark.parametrize("name,value", [
+        ("threads", 2.0), ("threads", "2"), ("threads", True), ("threads", None),
+        ("traj_start", 0.0), ("traj_start", False), ("traj_stop", 4.0), ("traj_stop", "4"),
+        ("traj_stop", True)])
+    def test_non_integer_threads_or_range_is_config_error(self, monkeypatch, name, value):
+        made = []
+
+        def refuse(what):
+            def fake(*args, **kwargs):
+                made.append(what)
+                raise AssertionError(f"{what} reached before the argument check")
+            return fake
+
+        for what in ("ProcessPoolExecutor", "ThreadPoolExecutor", "grid_stack", "zeroed_array"):
+            monkeypatch.setattr(ensemble, what, refuse(what))
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+            run_ensemble(config(realizations=4), **{name: value})
+        assert made == []
+
+    def test_numpy_integer_threads_and_range_are_accepted(self):
+        cfg = config(realizations=4)
+        want = run_ensemble(cfg, threads=1, traj_start=1, traj_stop=3)
+        got = run_ensemble(cfg, threads=np.int64(1), traj_start=np.int64(1),
+                           traj_stop=np.int64(3))
+        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+        np.testing.assert_array_equal(got.per_trajectory_variances,
+                                      want.per_trajectory_variances)
 
 
 class TestStatisticalSanity:

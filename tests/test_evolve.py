@@ -8,24 +8,25 @@ from scipy.integrate import quad
 
 from qwalk2d import (
     DisorderConfig,
-    DensityState,
     DisorderMode,
     InvariantViolationError,
-    LatticeOverflowError,
-    PhaseMatrix,
-    PhaseSampler,
     UnsupportedModeError,
-    cross_site_coherence_factor,
     exact_run,
-    exact_step_density,
-    initial_density,
-    initial_state,
     run_ensemble,
     run_trajectory,
-    same_site_coherence_factor,
     variance_series,
 )
-from qwalk2d.evolve import _step
+from qwalk2d.disorder import PhaseMatrix, PhaseSampler
+from qwalk2d.errors import LatticeOverflowError
+from qwalk2d.evolve import (
+    DensityState,
+    _step,
+    cross_site_coherence_factor,
+    exact_step_density,
+    initial_density,
+    same_site_coherence_factor,
+)
+from qwalk2d.state import initial_state
 from conftest import assert_support_ok, full_grid_step, iter_walk_states, walk_states
 from reference import ref_probs, ref_run, ref_step, ref_variance
 

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk2d import Distribution2D, InvariantViolationError, run_ensemble
+from qwalk2d import (
+    DisorderConfig,
+    DisorderMode,
+    Distribution2D,
+    InvariantViolationError,
+    run_ensemble,
+)
 from qwalk2d.cli import main
 from qwalk2d.errors import ConfigError
 from qwalk2d.io import (
@@ -120,6 +126,21 @@ class TestDistributionCsv:
         probs[1, 1] = 1
         write_distribution_csv([Distribution2D(probs, 1, 0)], tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_text() == "step,i,j,p\n0,0,0,1.0\n"
+
+    def test_generator_writes_the_same_bytes_as_the_list(self, tmp_path):
+        cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, math.pi, steps=4,
+                             realizations=3, master_seed=7)
+        dists = run_ensemble(cfg).distributions()
+        write_distribution_csv(dists, tmp_path / "list.csv")
+        write_distribution_csv((d for d in dists), tmp_path / "gen.csv")
+        assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        assert len(read_distribution_csv(tmp_path / "gen.csv")) == 5
+
+    def test_generator_with_unnormalized_last_step_writes_no_file(self, tmp_path):
+        dists = [make_dist({(0, 0): 1.0}, 1, step=0), make_dist({(1, 1): 0.5}, 1, step=1)]
+        with pytest.raises(InvariantViolationError, match="step 1"):
+            write_distribution_csv((d for d in dists), tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_unnormalized_distribution_rejected(self, tmp_path):
         bad = make_dist({(0, 0): 0.5}, 1)

@@ -11,23 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk2d import (
-    COIN_H,
-    COIN_V,
     ConfigError,
-    DensityState,
     Distribution2D,
     DisorderConfig,
     DisorderMode,
-    PhaseMatrix,
-    PhaseSampler,
+)
+from qwalk2d.disorder import PhaseMatrix, PhaseSampler
+from qwalk2d.evolve import DensityState, exact_step_density
+from qwalk2d.state import (
+    COIN_H,
+    COIN_V,
     WalkState,
+    _coin_grow,
+    _grow,
     apply_coin,
     apply_shift_x,
     apply_shift_y,
-    exact_step_density,
 )
 from qwalk2d.cli import main
-from qwalk2d.state import _coin_grow, _grow_x, _grow_y
 from qwalk2d.io import (
     RunManifest,
     _parsed_columns,
@@ -89,10 +90,10 @@ class TestSharedUnitary:
     def test_full_grid_shift_is_the_grow_kernel_then_the_crop(self, seed, half_width):
         psi = random_state(np.random.default_rng(seed), half_width)
         # the crop drops H's leading row and V's trailing row of the grown axis
-        grown = _grow_x(psi).amps
+        grown = _grow(psi, -3).amps
         cropped = np.stack([grown[1:, :, COIN_H], grown[:-1, :, COIN_V]], axis=-1)
         np.testing.assert_array_equal(apply_shift_x(psi).amps, cropped)
-        grown = _grow_y(psi).amps
+        grown = _grow(psi, -2).amps
         cropped = np.stack([grown[:, 1:, COIN_H], grown[:, :-1, COIN_V]], axis=-1)
         np.testing.assert_array_equal(apply_shift_y(psi).amps, cropped)
 
@@ -104,7 +105,7 @@ class TestSharedUnitary:
                             + 1j * rng.normal(size=(n + 1, n + 1, 2)), n)
                   for _ in range(batch)]
         stack = WalkState(np.stack([s.amps for s in states]), n)
-        for op in (apply_coin, _grow_x, _grow_y):
+        for op in (apply_coin, lambda s: _grow(s, -3), lambda s: _grow(s, -2)):
             stacked = op(stack).amps
             for b, state in enumerate(states):
                 np.testing.assert_array_equal(stacked[b], op(state).amps)
@@ -133,9 +134,9 @@ class TestFusedCoinShift:
             lead, last = list(range(len(batch))), list(range(-len(batch), 0))
             amps = np.moveaxis(np.ascontiguousarray(np.moveaxis(amps, lead, last)), last, lead)
         state = WalkState(amps, size - 1)
-        for axis, grow in ((-3, _grow_x), (-2, _grow_y)):
+        for axis in (-3, -2):
             fused = _coin_grow(state, axis).amps
-            want = grow(apply_coin(state)).amps
+            want = _grow(apply_coin(state), axis).amps
             assert fused.shape == want.shape
             np.testing.assert_array_equal(bits(fused), bits(want))
 

@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
-from qwalk2d import (
+from qwalk2d import DisorderConfig, DisorderMode, variance_series
+from qwalk2d.disorder import PhaseMatrix, PhaseSampler
+from qwalk2d.errors import LatticeOverflowError, PhaseCoverageError
+from qwalk2d.state import (
     COIN_H,
     COIN_V,
-    DisorderConfig,
-    DisorderMode,
-    LatticeOverflowError,
-    PhaseCoverageError,
-    PhaseMatrix,
-    PhaseSampler,
     WalkState,
     apply_coin,
     apply_dephasing,
     apply_shift_x,
     apply_shift_y,
     initial_state,
-    variance_series,
 )
 from conftest import random_state
 
@@ -102,6 +98,62 @@ class TestShifts:
         edge_v = single_site_state(0, h, 0.0, 1.0, half_width=h)
         with pytest.raises(LatticeOverflowError):
             apply_shift_y(edge_v)
+
+
+    @pytest.mark.parametrize("shift,edge,message", [
+        (apply_shift_x, (-2, 0, 1.0, 0.0), r"^x shift would move amplitude past \|i\| = 2$"),
+        (apply_shift_x, (2, 1, 0.0, 1.0), r"^x shift would move amplitude past \|i\| = 2$"),
+        (apply_shift_y, (0, 2, 0.0, 1.0), r"^y shift would move amplitude past \|j\| = 2$"),
+        (apply_shift_y, (1, -2, 1.0, 0.0), r"^y shift would move amplitude past \|j\| = 2$"),
+    ])
+    def test_overflow_message_names_the_axis_and_half_width(self, shift, edge, message):
+        with pytest.raises(LatticeOverflowError, match=message):
+            shift(single_site_state(*edge, half_width=2))
+
+    @pytest.mark.parametrize("shift,site,coin,moved", [
+        (apply_shift_x, (2, 0), COIN_H, (1, 0)),
+        (apply_shift_x, (-2, 1), COIN_V, (-1, 1)),
+        (apply_shift_y, (0, -2), COIN_V, (0, -1)),
+        (apply_shift_y, (1, 2), COIN_H, (1, 1)),
+    ])
+    def test_amplitude_on_the_inward_edge_shifts(self, shift, site, coin, moved):
+        h = 2
+        amps = [0.0, 0.0]
+        amps[coin] = 0.6 - 0.8j
+        out = shift(single_site_state(*site, *amps, half_width=h)).amps
+        want = np.zeros_like(out)
+        want[moved[0] + h, moved[1] + h, coin] = 0.6 - 0.8j
+        np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("shift,edge", [(apply_shift_x, (-2, 0, COIN_H)),
+                                            (apply_shift_x, (2, -1, COIN_V)),
+                                            (apply_shift_y, (0, 2, COIN_V)),
+                                            (apply_shift_y, (-1, -2, COIN_H))])
+    @pytest.mark.parametrize("bad", [None, (0, 0, 0), (1, 0, 1), (1, 1, 1)])
+    def test_batched_state_raises_exactly_when_a_slice_would(self, rng, shift, edge, bad):
+        # 3 leading batch axes, as on the oracle's ket side
+        h = 2
+        amps = rng.normal(size=(2, 2, 2, 5, 5, 2)) + 1j * rng.normal(size=(2, 2, 2, 5, 5, 2))
+        amps[..., [0, -1], :, :] = 0
+        amps[..., :, [0, -1], :] = 0
+        if bad is not None:
+            i, j, coin = edge
+            amps[bad + (i + h, j + h, coin)] = 0.5
+        slice_raises = []
+        for b in np.ndindex(2, 2, 2):
+            try:
+                shift(WalkState(amps[b], h))
+                slice_raises.append(False)
+            except LatticeOverflowError:
+                slice_raises.append(True)
+        assert slice_raises == [b == bad for b in np.ndindex(2, 2, 2)]
+        if bad is not None:
+            with pytest.raises(LatticeOverflowError):
+                shift(WalkState(amps, h))
+        else:
+            out = shift(WalkState(amps, h)).amps
+            for b in np.ndindex(2, 2, 2):
+                np.testing.assert_array_equal(out[b], shift(WalkState(amps[b], h)).amps)
 
 
 class TestDephasing:
