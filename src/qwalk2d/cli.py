@@ -4,14 +4,18 @@ Subcommands: `run` simulates an ensemble with the trajectory engine and
 analyzes it, `oracle` runs the exact averaged-channel evolver on a small
 lattice, `fit` re-analyzes stored distribution CSVs without re-simulating.
 The subcommand picks the engine, that is the runner (run_ensemble or
-exact_run); both return a WalkResult, and one path writes its artifacts.
+exact_run); both return a WalkResult, and one path writes its artifacts
+from the result's per-step sublattice windows: the CSV rows come from the
+windows, and only the last step is scattered onto a (2N+1)^2 grid, for
+the axis cuts and the heatmap.
 All three subcommands end in one tail, _fit_and_write, which fits V(n)
 and the final distribution and writes the result document.  Each other
 RunManifest setting has a flag named after its config key (`fit.n_lo` is
 `--fit-n-lo`; `fit` takes only the `fit.*` ones).  Exit codes: 0 success,
 2 bad configuration (a malformed file line or value, schema not 1, engine
-neither trajectory nor exact, a grid stack too large to allocate), 3 I/O
-failure, 4 violated numerical invariant.
+neither trajectory nor exact, a run's window buffer of sum_n (n + 1)^2
+values or a CSV's grid stack too large to allocate), 3 I/O failure, 4
+violated numerical invariant.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from .io import (
     read_distribution_stack,
     read_manifest_pairs,
     render_heatmap_svg,
-    write_distribution_csv,
     write_manifest,
     write_result_json,
     write_variance_csv,
+    write_window_csv,
 )
 
 EXIT_OK = 0
@@ -143,16 +147,16 @@ def _cmd_run(args) -> int:
     config = manifest.disorder_config()
     threads = manifest.threads if manifest.threads is not None else _usable_cpus()
     result = args.runner(config, threads)
-    dists = result.distributions()
+    final = result.distribution(config.steps)
 
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(manifest, out_dir / "manifest.cfg")
-    write_distribution_csv(dists, out_dir / "distributions.csv")
+    write_window_csv(result.windows, out_dir / "distributions.csv")
     write_variance_csv(result.variances, result.variance_stderr, out_dir / "variance.csv")
     _fit_and_write(out_dir / "result.json", manifest, manifest.engine, config,
-                   result.variances, result.variance_stderr, dists[-1])
-    render_heatmap_svg(dists[-1], out_dir / "heatmap.svg", log_scale=args.log_heatmap)
+                   result.variances, result.variance_stderr, final)
+    render_heatmap_svg(final, out_dir / "heatmap.svg", log_scale=args.log_heatmap)
 
     print(f"V({config.steps}) = {float(result.variances[-1])!r}")
     print(f"artifacts written to {out_dir}")

@@ -14,8 +14,10 @@ one (n + 1, n + 1) grid per step n, in trajectory order as they come, and
 each trajectory's variance row comes from the x and y marginals of its
 windows, so the width changes no bit.  A chunk's sums hold
 sum_n (n + 1)^2 values (2.8 MB at N = 100), about a twelfth of one dense
-(N+1, 2N+1, 2N+1) stack; the run builds a dense stack only once, for the
-mean.  The chunks write their rows into the run's (R, N+1) variance array.
+(N+1, 2N+1, 2N+1) stack.  The run adds them, in chunk order, into one
+zeroed buffer of the same layout, and divides that in place: the mean is
+a WalkResult's windows, and no stage of a run builds a dense stack.  The
+chunks write their rows into the run's (R, N+1) variance array.
 
 A run's threads are processes across chunks and threads (lanes) across a
 chunk's groups.  A group adds its step-n windows only after the groups
@@ -35,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import grid_stack, variance_series, zeroed_array
+from .analysis import zeroed_array
 from .disorder import DisorderConfig
 from .errors import ConfigError, check_unit_total
-from .evolve import WalkResult, add_trajectories, scatter_windows, zero_windows
+from .evolve import WalkResult, add_trajectories, window_variances, zero_windows
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
@@ -52,7 +54,7 @@ GROUP_BYTES = 1 << 20
 
 @dataclass
 class EnsembleResult(WalkResult):
-    """A WalkResult whose probabilities are the ensemble averages of the
+    """A WalkResult whose windows are the ensemble averages of the
     trajectories in traj_ranges, plus what merge_results needs to combine
     it with others: those ranges and each trajectory's variance series."""
 
@@ -166,9 +168,10 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     its groups on threads // processes lanes (see _run_chunk), so the
     threads a run asks for stay busy when it has fewer chunks than
     threads.  Either way the reduction order is fixed, so the stored
-    numbers are identical.  The mean stack and the variance rows are
-    allocated first, so a walk too long or an ensemble too large to hold
-    fails with a ConfigError before any trajectory runs or worker starts.
+    numbers are identical.  The mean's windows (see zero_windows) and the
+    variance rows are allocated first, so a walk too long or an ensemble
+    too large to hold fails with a ConfigError before any trajectory runs
+    or worker starts.
     """
     stop = config.realizations if traj_stop is None else traj_stop
     for name, value in (("threads", threads), ("traj_start", traj_start), ("traj_stop", stop)):
@@ -183,53 +186,50 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
             f"trajectory range [{traj_start}, {stop}) exceeds realizations={config.realizations}"
         )
     t0 = time.perf_counter()
-    mean_probs = grid_stack(config.steps + 1, config.steps)
+    mean = zero_windows(config.steps)
     per_traj_var = zeroed_array((stop - traj_start, config.steps + 1), "variance array",
                                 f"trajectories {traj_start}..{stop - 1}")
     starts = range(traj_start, stop, CHUNK_SIZE)
     processes = min(threads, len(starts))
     chunk_args = ((config, a, min(a + CHUNK_SIZE, stop), threads // processes) for a in starts)
     if processes == 1:
-        window_sums = _sum_chunks(map(_run_chunk, chunk_args), per_traj_var, traj_start)
+        _sum_chunks(map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            window_sums = _sum_chunks(pool.map(_run_chunk, chunk_args), per_traj_var,
-                                      traj_start)
-    scatter_windows(window_sums, mean_probs, stop - traj_start)
-    result = _finalize(config, [(traj_start, stop)], mean_probs, per_traj_var)
+            _sum_chunks(pool.map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
+    for window in mean:
+        window /= stop - traj_start
+    result = _finalize(config, [(traj_start, stop)], mean, per_traj_var)
     result.elapsed_seconds = time.perf_counter() - t0
     return result
 
 
-def _sum_chunks(chunk_results, per_traj_var: np.ndarray, start: int) -> list[np.ndarray]:
-    """Add up chunk results in chunk order, each as it arrives, so only the
-    running sums and one chunk's sums are held; returns the per-step window
-    sums, and writes each chunk's variance rows into per_traj_var, whose
-    row 0 is trajectory start."""
-    window_sums = None
+def _sum_chunks(chunk_results, window_sums: list[np.ndarray], per_traj_var: np.ndarray,
+                start: int) -> None:
+    """Add chunk results into the zeroed window_sums in chunk order, each as
+    it arrives, so only the sums and one chunk's sums are held, and write
+    each chunk's variance rows into per_traj_var, whose row 0 is trajectory
+    start.  The first chunk's sums are added to zeros, which leaves their
+    bits as they are: 0.0 + x is x for every x >= 0."""
     row = 0
     for chunk_start, chunk_sums, var_rows in chunk_results:
         assert chunk_start == start + row, "chunk reduction out of order"
         per_traj_var[row:row + len(var_rows)] = var_rows
         row += len(var_rows)
-        if window_sums is None:
-            window_sums = chunk_sums
-        else:
-            for total, part in zip(window_sums, chunk_sums):
-                total += part
-    return window_sums
+        for total, part in zip(window_sums, chunk_sums):
+            total += part
 
 
 def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
-              mean_probs: np.ndarray, per_traj_var: np.ndarray) -> EnsembleResult:
+              mean: list[np.ndarray], per_traj_var: np.ndarray) -> EnsembleResult:
     count = per_traj_var.shape[0]
-    for n, total in enumerate(mean_probs.sum(axis=(1, 2))):
-        check_unit_total(total, f"averaged distribution sum at step {n}")
+    for n, window in enumerate(mean):
+        check_unit_total(window.sum(), f"averaged distribution sum at step {n}")
     if count > 1:
         stderr = per_traj_var.std(axis=0, ddof=1) / np.sqrt(count)
     else:
         stderr = np.zeros(per_traj_var.shape[1])
-    return EnsembleResult(config, mean_probs, variance_series(mean_probs, config.steps),
+    return EnsembleResult(config, mean, window_variances(mean, config.steps),
                           stderr, ranges, per_traj_var)
 
 
@@ -239,10 +239,11 @@ def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
     Partials must share an identical config; their ranges are merged in
     ascending index order regardless of list order, so a partial may fill
     a gap between another's ranges and the result does not depend on the
-    list order.  The merged means match a single run over the same
-    trajectories within 1e-12, but not bit for bit: summing partial totals
-    groups the additions differently from one run's chunk order (up to
-    3.6e-15 apart at R=128, N=8).
+    list order.  Step n's merged window is sum_p count_p window_p / total,
+    over the partials in ascending range order.  The merged means match a
+    single run over the same trajectories within 1e-12, but not bit for
+    bit: summing partial totals groups the additions differently from one
+    run's chunk order (up to 3.6e-15 apart at R=128, N=8).
     """
     if not partials:
         raise ConfigError("nothing to merge")
@@ -269,8 +270,9 @@ def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
             ranges.append((start, stop))
     parts = sorted(partials, key=lambda p: p.traj_ranges[0][0])
     total = sum(p.trajectory_count for p in parts)
-    mean_probs = sum(p.trajectory_count * p.probabilities for p in parts) / total
+    mean = [sum(p.trajectory_count * p.windows[n] for p in parts) / total
+            for n in range(config.steps + 1)]
     per_traj_var = np.concatenate([rows for _, _, rows in pieces], axis=0)
-    merged = _finalize(config, ranges, mean_probs, per_traj_var)
+    merged = _finalize(config, ranges, mean, per_traj_var)
     merged.elapsed_seconds = sum(p.elapsed_seconds for p in parts)
     return merged

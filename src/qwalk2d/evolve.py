@@ -12,13 +12,18 @@ dimension 2 (n + 1)^2.  Step n takes every other phase of its window
 |i|, |j| <= n, a strided view of the whole-lattice draw.  add_trajectories
 runs every trajectory: it steps a group of B as one (B, n + 1, n + 1, 2)
 stack, adds their windows into a per-step list of (n + 1, n + 1) window
-sums, and computes their variance rows from their marginals.  Only
-scatter_windows builds the dense (N+1, 2N+1, 2N+1) grid stack of a
-result, placing step n's window on the sites i = j = n (mod 2).
-run_trajectory is add_trajectories' B = 1 call into zeroed windows, and
-exact_run collects its density matrix's windows; both scatter them into a
-WalkResult, the result type of the ensemble too.  exact_step_density runs
-the oracle's kernels on the full grid.
+sums, and computes their variance rows from their marginals.
+
+A WalkResult holds its site distributions the same way, as one
+(n + 1, n + 1) window per step, window[u, v] = p(2u - n, 2v - n), and its
+variance series comes from the windows' zero-padded marginals
+(window_variances), bit for bit the series of the dense grids.  Nothing
+on the run's path builds a dense (N+1, 2N+1, 2N+1) grid stack: a result
+scatters one step onto a (2N + 1)^2 grid (distribution), and builds the
+whole stack only when asked for it (probabilities).  run_trajectory is
+add_trajectories' B = 1 call into zeroed windows, and exact_run collects
+its density matrix's windows.  exact_step_density runs the oracle's
+kernels on the full grid.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Distribution2D, grid_stack, marginal_variances, variance_series
+from .analysis import Distribution2D, grid_stack, marginal_variances, zeroed_array
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
 from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
 from .state import (
@@ -65,19 +70,51 @@ def _step(state: WalkState, phases: PhaseMatrix) -> WalkState:
     return WalkState(out.amps, state.half_width + 1, state.step_count + 1)
 
 
+def sublattice_sites(n: int, size: int) -> slice:
+    """The indices of i = n (mod 2), |i| <= n, along an axis of a centred
+    grid of size L: where step n's (n + 1)-site sublattice axis lands."""
+    centre = size // 2
+    return slice(centre - n, centre + n + 1, 2)
+
+
+def sublattice_marginals(windows: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y marginals of step-n windows (..., n + 1, n + 1), at the
+    sites sublattice_sites(n, size) of a size-L axis: as variance_series
+    builds them from the dense grids.  A row sum runs over the whole
+    zero-padded grid row, since numpy's pairwise sum groups a shorter row
+    differently; a column sum adds rows in order, so it may skip the zeros."""
+    rows = np.zeros(windows.shape[:-1] + (size,))
+    rows[..., sublattice_sites(windows.shape[-1] - 1, size)] = windows
+    return rows.sum(axis=-1), windows.sum(axis=-2)
+
+
+def window_variances(windows: list[np.ndarray], half_width: int) -> np.ndarray:
+    """variance_series of the dense grids of per-step windows, bit for bit,
+    from their marginals (sublattice_marginals)."""
+    size = 2 * half_width + 1
+    px = np.zeros((len(windows), size))
+    py = np.zeros_like(px)
+    for n, window in enumerate(windows):
+        sites = sublattice_sites(n, size)
+        px[n, sites], py[n, sites] = sublattice_marginals(window, size)
+    return marginal_variances(px, py, half_width)
+
+
 @dataclass
 class WalkResult:
     """Per-step site distributions of a run and their variance series.
 
-    probabilities[n] is the (L, L) site grid after n steps, n = 0..steps,
-    L = 2 half_width + 1; variances[n] is the variance of that grid (the
-    figure-of-merit series), and variance_stderr[n] its standard error
-    from the spread of per-trajectory variances (a diagnostic), or None
-    where there is no spread: one trajectory, or the exact oracle.
+    windows[n] is the (n + 1, n + 1) sublattice window of the site
+    distribution after n steps, n = 0..steps: windows[n][u, v] is
+    p(2u - n, 2v - n), and every other site is 0.  variances[n] is the
+    variance of that distribution (the figure-of-merit series), and
+    variance_stderr[n] its standard error from the spread of
+    per-trajectory variances (a diagnostic), or None where there is no
+    spread: one trajectory, or the exact oracle.
     """
 
     config: DisorderConfig
-    probabilities: np.ndarray
+    windows: list[np.ndarray]
     variances: np.ndarray
     variance_stderr: np.ndarray | None
 
@@ -85,16 +122,25 @@ class WalkResult:
     def half_width(self) -> int:
         return self.config.steps
 
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The dense (N + 1, L, L) stack of site grids, L = 2N + 1, built
+        from the windows on each call."""
+        probs = grid_stack(len(self.windows), self.half_width)
+        for window, grid in zip(self.windows, probs):
+            scatter_window(window, grid)
+        return probs
+
+    def distribution(self, n: int) -> Distribution2D:
+        """Step n's distribution, its window scattered onto an (L, L) grid."""
+        size = 2 * self.half_width + 1
+        return Distribution2D(scatter_window(self.windows[n], np.zeros((size, size))),
+                              self.half_width, n)
+
     def distributions(self) -> list[Distribution2D]:
+        """Every step's distribution, each a view of one probabilities stack."""
         return [Distribution2D(probs, self.half_width, n)
                 for n, probs in enumerate(self.probabilities)]
-
-
-def sublattice_sites(n: int, size: int) -> slice:
-    """The indices of i = n (mod 2), |i| <= n, along an axis of a centred
-    grid of size L: where step n's (n + 1)-site sublattice axis lands."""
-    centre = size // 2
-    return slice(centre - n, centre + n + 1, 2)
 
 
 def _group_phases(samplers: list[PhaseSampler], start: int, n: int) -> PhaseMatrix:
@@ -113,21 +159,27 @@ def _group_phases(samplers: list[PhaseSampler], start: int, n: int) -> PhaseMatr
 
 def zero_windows(n_steps: int) -> list[np.ndarray]:
     """Zeroed sublattice windows, one (n + 1, n + 1) grid per step n =
-    0..n_steps: the sum add_trajectories adds into."""
-    return [np.zeros((n + 1, n + 1)) for n in range(n_steps + 1)]
+    0..n_steps, each a view of one buffer of sum_n (n + 1)^2 values: the
+    sum add_trajectories adds into.  A ConfigError naming the buffer's
+    size if it cannot be allocated."""
+    total = (n_steps + 1) * (n_steps + 2) * (2 * n_steps + 3) // 6
+    buffer = zeroed_array((total,), f"window buffer (sum of (n + 1)^2 over n = 0..{n_steps})",
+                          f"{n_steps + 1} steps")
+    windows, lo = [], 0
+    for n in range(n_steps + 1):
+        windows.append(buffer[lo:lo + (n + 1) ** 2].reshape(n + 1, n + 1))
+        lo += (n + 1) ** 2
+    return windows
 
 
-def scatter_windows(windows: list[np.ndarray], probs: np.ndarray,
-                    count: int | None = None) -> np.ndarray:
-    """Write step n's sublattice window, divided by count where one is
-    given, onto the sites i = j = n (mod 2) of probs[n], a zeroed
-    (N + 1, L, L) grid stack, L = 2N + 1; returns probs.  The other sites
-    stay +0.0, as the dense sums of the same windows would leave them."""
-    size = probs.shape[1]
-    for n, window in enumerate(windows):
-        sites = sublattice_sites(n, size)
-        probs[n, sites, sites] = window if count is None else window / count
-    return probs
+def scatter_window(window: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Write step n's (n + 1, n + 1) sublattice window onto the sites
+    i = j = n (mod 2) of a zeroed centred (L, L) grid; returns grid.  The
+    other sites stay +0.0, as the dense sums of the same windows would
+    leave them."""
+    sites = sublattice_sites(len(window) - 1, grid.shape[0])
+    grid[sites, sites] = window
+    return grid
 
 
 def _own_turn(n: int) -> contextlib.nullcontext:
@@ -150,14 +202,11 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
     The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
     sublattice stack, each with its own PhaseSampler.  Each step's windows
     are added into its sum in trajectory order.  The variance rows come
-    from each trajectory's x and y marginals, built as variance_series
-    builds them from a full stack: a row sum runs over the whole
-    zero-padded grid row, since numpy's pairwise sum groups a shorter row
-    differently, while a column sum adds rows in order and may skip the
-    zeros.  So no bit depends on B, and B = 1 into zeroed windows gives the
-    trajectory's own windows.  A failing unit total raises
-    InvariantViolationError naming the first trajectory, in index order,
-    that fails at the first failing step.
+    from each trajectory's x and y marginals (sublattice_marginals), as
+    window_variances computes them.  So no bit depends on B, and B = 1
+    into zeroed windows gives the trajectory's own windows.  A failing
+    unit total raises InvariantViolationError naming the first trajectory,
+    in index order, that fails at the first failing step.
     """
     n_steps = config.steps
     size = 2 * n_steps + 1
@@ -175,22 +224,18 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
             for window in windows:
                 window_sums[n] += window
         sites = sublattice_sites(n, size)
-        rows = np.zeros(windows.shape[:2] + (size,))
-        rows[..., sites] = windows
-        px[:, n, sites] = rows.sum(axis=2)
-        py[:, n, sites] = windows.sum(axis=1)
+        px[:, n, sites], py[:, n, sites] = sublattice_marginals(windows, size)
     for b in range(len(samplers)):
         var_rows[b] = marginal_variances(px[b], py[b], n_steps)
 
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> WalkResult:
     """Run one realization for config.steps steps: add_trajectories for
-    the one trajectory into zeroed windows, scattered onto a grid stack."""
-    probs = grid_stack(config.steps + 1, config.steps)
+    the one trajectory into zeroed windows."""
     windows = zero_windows(config.steps)
     variances = np.empty((1, config.steps + 1))
     add_trajectories(config, trajectory_index, trajectory_index + 1, windows, variances)
-    return WalkResult(config, scatter_windows(windows, probs), variances[0], None)
+    return WalkResult(config, windows, variances[0], None)
 
 
 # ---------------------------------------------------------------------------
@@ -322,5 +367,4 @@ def exact_run(config: DisorderConfig) -> WalkResult:
             dstate = _density_step(dstate, config, sublattice=True)
         windows.append(dstate.site_probabilities())
         check_unit_total(windows[n].sum(), f"oracle trace at step {n}")
-    probs = scatter_windows(windows, grid_stack(n_steps + 1, n_steps))
-    return WalkResult(config, probs, variance_series(probs, n_steps), None)
+    return WalkResult(config, windows, window_variances(windows, n_steps), None)

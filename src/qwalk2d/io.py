@@ -219,25 +219,39 @@ _CSV_HEADER = "step,i,j,p"
 
 def write_distribution_csv(dists, path) -> None:
     """Write an iterable of site distributions as rows `step,i,j,p`,
-    omitting zero sites.
+    omitting zero sites (see _write_grids)."""
+    _write_grids(((d.step, d.probs, 1, d.half_width) for d in dists), path)
 
-    Every distribution must sum to 1 (see check_unit_total), so an empty
-    (all-zero) distribution is rejected outright.  All of them are checked
-    before the file is opened, so a rejected list writes no file.  The rows
-    are then written one step at a time; p is float.__repr__ of the value,
-    formatted at C level by the repr of the step's value list.
+
+def write_window_csv(windows, path) -> None:
+    """Write per-step sublattice windows (see evolve.WalkResult) as the rows
+    write_distribution_csv writes for their dense grids, byte for byte:
+    window index u ascending is i = 2u - n ascending."""
+    _write_grids(((n, window, 2, n) for n, window in enumerate(windows)), path)
+
+
+def _write_grids(grids, path) -> None:
+    """Write (step, grid, stride, offset) entries as rows `step,i,j,p`, one
+    per positive p = grid[u, v], at i = stride u - offset and
+    j = stride v - offset.
+
+    Every grid must sum to 1 (see check_unit_total), so an empty (all-zero)
+    distribution is rejected outright.  All of them are checked before the
+    file is opened, so a rejected list writes no file.  The rows are then
+    written one step at a time; p is float.__repr__ of the value, formatted
+    at C level by the repr of the step's value list.
     """
-    dists = list(dists)  # read twice: an iterator would be spent by the checks
-    for dist in dists:
-        check_unit_total(dist.probs.sum(), f"distribution sum at step {dist.step}")
+    grids = list(grids)  # read twice: an iterator would be spent by the checks
+    for step, grid, _, _ in grids:
+        check_unit_total(grid.sum(), f"distribution sum at step {step}")
     with open(path, "w") as handle:
         handle.write(_CSV_HEADER + "\n")
-        for dist in dists:
-            h = dist.half_width
-            ii, jj = np.nonzero(dist.probs > 0.0)
-            values = dist.probs[ii, jj].astype(float, copy=False).tolist()
-            rows = zip(repeat(str(dist.step)), map(str, (ii - h).tolist()),
-                       map(str, (jj - h).tolist()), repr(values)[1:-1].split(", "))
+        for step, grid, stride, offset in grids:
+            uu, vv = np.nonzero(grid > 0.0)
+            values = grid[uu, vv].astype(float, copy=False).tolist()
+            ii, jj = (stride * uu - offset).tolist(), (stride * vv - offset).tolist()
+            rows = zip(repeat(str(step)), map(str, ii), map(str, jj),
+                       repr(values)[1:-1].split(", "))
             handle.write("\n".join(map(",".join, rows)) + "\n")
 
 

@@ -205,10 +205,10 @@ def test_criterion_8a_norm_drift_over_50_steps():
     with criterion("8a", "norm drift over 50 steps"):
         cfg = DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, math.pi, steps=50,
                              realizations=1, master_seed=MASTER_SEED)
-        traj = run_trajectory(cfg, 0)
+        probs = run_trajectory(cfg, 0).probabilities
         for n, state in enumerate(walk_states(cfg)):
             assert abs(state.norm() - 1.0) <= 1e-12, f"drift at step {n}"
-            assert np.array_equal(state.probabilities(), traj.probabilities[n])
+            assert np.array_equal(state.probabilities(), probs[n])
 
 
 def test_criterion_8b_distributions_normalized(all_ensembles):
@@ -234,5 +234,5 @@ def test_criterion_8c_thread_count_invariance():
 def test_criterion_8d_support_and_parity(all_ensembles):
     with criterion("8d", "support bounds and parity"):
         for name, ens in all_ensembles.items():
-            for n in range(STEPS + 1):
-                assert_support_ok(ens.probabilities[n], ens.half_width, n)
+            for n, probs in enumerate(ens.probabilities):
+                assert_support_ok(probs, ens.half_width, n)

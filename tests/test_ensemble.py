@@ -20,6 +20,7 @@ from qwalk2d import (
     run_trajectory,
     variance_series,
 )
+from qwalk2d.cli import main
 from qwalk2d.disorder import PhaseSampler
 
 
@@ -155,9 +156,10 @@ class TestRunEnsemble:
         from qwalk2d.ensemble import _finalize
 
         cfg = config(steps=2, realizations=1)
-        mean = np.zeros((3, 5, 5))
-        mean[:, 2, 2] = 1.0
-        mean[1, 2, 2] = bad
+        mean = evolve.zero_windows(2)
+        for window in mean:
+            window[0, 0] = 1.0
+        mean[1][0, 0] = bad
         with pytest.raises(InvariantViolationError, match="step 1"):
             _finalize(cfg, [(0, 1)], mean, np.zeros((1, 3)))
 
@@ -209,21 +211,24 @@ class TestBatchedChunk:
         assert sum(w.size for w in window_sums) == sum((n + 1) ** 2 for n in range(n_steps + 1))
         assert [w.shape for w in window_sums] == [(n + 1, n + 1) for n in range(n_steps + 1)]
 
-    def test_run_peaks_below_two_dense_stacks(self):
-        # the run holds one dense (N + 1, 2N + 1, 2N + 1) mean stack and keeps
-        # every trajectory-side sum on the sublattice, so the traced peak is
-        # about 1.5 stacks; a chunk summing into a dense stack of its own
-        # would read about 2.4
-        cfg = config(steps=60, realizations=4)
-        run_ensemble(cfg, threads=1)  # warm-up: imports and numpy's first-call caches
+    def test_cli_run_peaks_below_one_dense_stack(self, tmp_path):
+        # the whole `qwalk2d run` (walk, CSV, heatmap and result) keeps the
+        # mean on the sublattice and scatters only the last step, so the
+        # traced peak is about half of one dense (N + 1, 2N + 1, 2N + 1)
+        # stack (3.7 MB of 7.1 MB); a run that scatters its mean onto a
+        # dense stack reads about 1.5 stacks
+        argv = ["run", "--mode", "dynamical-spatial", "--zeta", "pi", "--steps", "60",
+                "--realizations", "4", "--seed", "3", "--threads", "1"]
+        # warm-up: imports and numpy's first-call caches
+        assert main(argv + ["--out-dir", str(tmp_path / "warm")]) == 0
         tracemalloc.start()
         try:
-            run_ensemble(cfg, threads=1)
+            assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        dense = 8 * (cfg.steps + 1) * (2 * cfg.steps + 1) ** 2
-        assert peak < 2 * dense
+        dense = 8 * 61 * 121 ** 2
+        assert peak < dense
 
     @pytest.mark.parametrize("group_bytes", [1, 1 << 40], ids=["width-1", "width-chunk"])
     def test_group_width_changes_no_bit(self, monkeypatch, group_bytes):
@@ -341,7 +346,7 @@ class TestParallelDeterminism:
                 raise AssertionError(f"{what} reached before the argument check")
             return fake
 
-        for what in ("ProcessPoolExecutor", "ThreadPoolExecutor", "grid_stack", "zeroed_array"):
+        for what in ("ProcessPoolExecutor", "ThreadPoolExecutor", "zero_windows", "zeroed_array"):
             monkeypatch.setattr(ensemble, what, refuse(what))
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
             run_ensemble(config(realizations=4), **{name: value})
@@ -370,7 +375,56 @@ class TestStatisticalSanity:
         assert np.all(np.diff(ens.variances) >= 0.0)
 
 
+class TestWindowVariances:
+    """A result's V(n) comes from its windows' marginals; it must equal
+    variance_series of its dense grids bit for bit.  At N=70 a dense row
+    holds 141 sites, past numpy's 128-element pairwise-sum block, where the
+    sum of a compact (unpadded) row would group the additions differently."""
+
+    CFG = config(steps=70, realizations=8, seed=13)
+
+    @staticmethod
+    def assert_dense_variances(result):
+        assert np.array_equal(result.variances,
+                              variance_series(result.probabilities, result.half_width))
+
+    # a group at N=70 is 6 trajectories, so R=8 is one chunk of two groups,
+    # which run on two lanes at threads=2
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_ensemble(self, threads):
+        self.assert_dense_variances(run_ensemble(self.CFG, threads=threads))
+
+    def test_trajectory(self):
+        self.assert_dense_variances(run_trajectory(self.CFG, 5))
+
+    def test_merge(self):
+        self.assert_dense_variances(merge_results([
+            run_ensemble(self.CFG, traj_start=3, traj_stop=8),
+            run_ensemble(self.CFG, traj_start=0, traj_stop=3)]))
+
+    @pytest.mark.parametrize("mode", [DisorderMode.NONE, DisorderMode.DYNAMICAL_SPATIAL,
+                                      DisorderMode.DYNAMICAL_UNIFORM])
+    def test_exact_run(self, mode):
+        self.assert_dense_variances(exact_run(config(mode, math.pi / 2, steps=20,
+                                                     realizations=1)))
+
+
 class TestMerge:
+    def test_merged_windows_are_the_count_weighted_sum_in_range_order(self):
+        cfg = config(realizations=64, seed=9)
+        a = run_ensemble(cfg, traj_start=0, traj_stop=24)
+        gap = run_ensemble(cfg, traj_start=24, traj_stop=40)
+        b = run_ensemble(cfg, traj_start=40, traj_stop=64)
+        merged = merge_results([b, gap, a])
+        assert len(merged.windows) == cfg.steps + 1
+        for n, window in enumerate(merged.windows):
+            np.testing.assert_array_equal(
+                window, (24 * a.windows[n] + 16 * gap.windows[n] + 24 * b.windows[n]) / 64)
+        # the same arithmetic on the dense stacks, site by site
+        np.testing.assert_array_equal(
+            merged.probabilities,
+            (24 * a.probabilities + 16 * gap.probabilities + 24 * b.probabilities) / 64)
+
     def test_merge_of_single_partial_is_identity(self):
         full = run_ensemble(config())
         merged = merge_results([full])

@@ -107,10 +107,10 @@ class TestStepAgainstReference:
 
     def test_norm_preserved_for_any_phases(self, rng):
         cfg = config(DisorderMode.STATIC_SPATIAL, math.pi, steps=10, seed=3)
-        traj = run_trajectory(cfg, 0)
+        probs = run_trajectory(cfg, 0).probabilities
         for n, state in enumerate(walk_states(cfg)):
             assert abs(state.norm() - 1.0) <= 1e-12
-            np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
+            np.testing.assert_array_equal(state.probabilities(), probs[n])
 
 
 class TestRunTrajectory:
@@ -156,9 +156,9 @@ class TestRunTrajectory:
         # the dephasing product on its own; the window stays below that size
         # until step 64, so only a fixed operand order keeps the two equal
         cfg = config(mode, math.pi, 64, seed=11)
-        traj = run_trajectory(cfg, 3)
+        probs = run_trajectory(cfg, 3).probabilities
         for n, state in enumerate(walk_states(cfg, 3)):
-            np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
+            np.testing.assert_array_equal(state.probabilities(), probs[n])
 
     @settings(deadline=None)
     @given(mode=st.sampled_from(list(DisorderMode)), zeta=st.floats(0.0, math.pi),
@@ -174,9 +174,9 @@ class TestRunTrajectory:
         # complex elements, where numpy starts to reuse temporaries; the
         # kernels must round alike on both sides of that size
         cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 130, seed=21)
-        traj = run_trajectory(cfg, 1)
+        probs = run_trajectory(cfg, 1).probabilities
         for n, state in enumerate(iter_walk_states(cfg, 1)):
-            np.testing.assert_array_equal(state.probabilities(), traj.probabilities[n])
+            np.testing.assert_array_equal(state.probabilities(), probs[n])
 
     @settings(deadline=None)
     @given(engine_mode=st.sampled_from([("trajectory", mode) for mode in DisorderMode]

@@ -11,6 +11,7 @@ from qwalk2d import (
     DisorderMode,
     Distribution2D,
     InvariantViolationError,
+    exact_run,
     run_ensemble,
 )
 from qwalk2d.cli import main
@@ -28,6 +29,7 @@ from qwalk2d.io import (
     render_heatmap_svg,
     write_distribution_csv,
     write_result_json,
+    write_window_csv,
 )
 from reference import read_distribution_csv as reference_read_distribution_csv
 from reference import ref_probs, ref_run, ref_variance
@@ -135,6 +137,22 @@ class TestDistributionCsv:
         write_distribution_csv((d for d in dists), tmp_path / "gen.csv")
         assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
         assert len(read_distribution_csv(tmp_path / "gen.csv")) == 5
+
+    @pytest.mark.parametrize("engine,mode", [
+        ("trajectory", mode) for mode in DisorderMode] + [
+        ("exact", DisorderMode.NONE), ("exact", DisorderMode.DYNAMICAL_SPATIAL)])
+    def test_windows_write_the_bytes_of_their_dense_grids(self, tmp_path, engine, mode):
+        cfg = DisorderConfig(mode, math.pi / 2, steps=9, realizations=5, master_seed=11)
+        result = run_ensemble(cfg) if engine == "trajectory" else exact_run(cfg)
+        write_window_csv(result.windows, tmp_path / "windows.csv")
+        write_distribution_csv(result.distributions(), tmp_path / "dense.csv")
+        assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    def test_unnormalized_window_writes_no_file(self, tmp_path):
+        windows = [np.ones((1, 1)), np.full((2, 2), 0.25), np.full((3, 3), 0.1)]
+        with pytest.raises(InvariantViolationError, match="distribution sum at step 2"):
+            write_window_csv(windows, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_generator_with_unnormalized_last_step_writes_no_file(self, tmp_path):
         dists = [make_dist({(0, 0): 1.0}, 1, step=0), make_dist({(1, 1): 0.5}, 1, step=1)]
@@ -328,17 +346,20 @@ class TestCliRun:
         assert doc["config"]["mode"] == "dynamical-spatial"
 
 
-    @pytest.mark.parametrize("steps", [20_001, 700_001])
+    @pytest.mark.parametrize("steps", [70_001, 2_000_001])
     def test_grid_stack_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
                                                                  steps):
-        # the sizes of the fit test of the same name: 2.6e14 bytes, more than
-        # any address space, and a byte count past 2**63
+        # the run's mean is one buffer of sum_n (n + 1)^2 window values: at
+        # 70,001 steps 9.1e14 bytes, more than the 128 TiB (2**47 bytes) user
+        # address space of x86-64, and at 2,000,001 steps a byte count past
+        # 2**63, where numpy refuses the shape
         out = tmp_path / "out"
         assert main(["run", "--mode", "dynamical-spatial", "--zeta", "pi",
                      "--steps", str(steps), "--realizations", "1", "--seed", "1",
                      "--out-dir", str(out)]) == 2
-        size = 2 * steps + 1
-        assert f"{steps + 1} x {size} x {size} grid stack" in capsys.readouterr().err
+        values = (steps + 1) * (steps + 2) * (2 * steps + 3) // 6
+        assert (f"{steps + 1} steps need a {values} window buffer "
+                f"(sum of (n + 1)^2 over n = 0..{steps})") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("realizations", [10**18, 10**16])
@@ -383,11 +404,18 @@ class TestCliOracle:
 
 
 class TestCliFit:
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_refit_reproduces_run_fits(self, tmp_path, command):
+    # at N=70 a CSV grid row holds 141 sites, past numpy's 128-element
+    # pairwise-sum block, so the run's V(n) from its windows must pad each
+    # row as the refit's dense grid does to match it bit for bit
+    @pytest.mark.parametrize("command,mode,zeta,steps,realizations", [
+        pytest.param("run", "none", "0", 14, 1, id="run"),
+        pytest.param("oracle", "none", "0", 14, 1, id="oracle"),
+        pytest.param("run", "dynamical-spatial", "pi", 70, 4, id="run-dynamical-spatial-n70")])
+    def test_refit_reproduces_run_fits(self, tmp_path, command, mode, zeta, steps,
+                                       realizations):
         out = tmp_path / "out"
-        assert main([command, "--mode", "none", "--zeta", "0", "--steps", "14",
-                     "--realizations", "1", "--seed", "6", "--threads", "1",
+        assert main([command, "--mode", mode, "--zeta", zeta, "--steps", str(steps),
+                     "--realizations", str(realizations), "--seed", "6", "--threads", "1",
                      "--fit-n-lo", "7", "--out-dir", str(out)]) == 0
         refit = tmp_path / "refit.json"
         assert main(["fit", str(out / "distributions.csv"), "--fit-n-lo", "7",
