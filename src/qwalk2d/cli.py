@@ -7,7 +7,9 @@ The subcommand picks the engine, that is the runner (run_ensemble or
 exact_run); both return a WalkResult, and one path writes its artifacts
 from the result's per-step sublattice windows: the CSV rows come from the
 windows, and only the last step is scattered onto a (2N+1)^2 grid, for
-the axis cuts and the heatmap.
+the axis cuts and the heatmap.  A run's threads (its `threads` setting,
+else the CPUs the process may use) also bound the processes that format
+the distributions CSV (see io._write_grids).
 All three subcommands end in one tail, _fit_and_write, which fits V(n)
 and the final distribution and writes the result document.  Each other
 RunManifest setting has a flag named after its config key (`fit.n_lo` is
@@ -152,7 +154,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(manifest.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(manifest, out_dir / "manifest.cfg")
-    write_window_csv(result.windows, out_dir / "distributions.csv")
+    write_window_csv(result.windows, out_dir / "distributions.csv", threads)
     write_variance_csv(result.variances, result.variance_stderr, out_dir / "variance.csv")
     _fit_and_write(out_dir / "result.json", manifest, manifest.engine, config,
                    result.variances, result.variance_stderr, final)

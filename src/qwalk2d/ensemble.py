@@ -16,8 +16,11 @@ windows, so the width changes no bit.  A chunk's sums hold
 sum_n (n + 1)^2 values (2.8 MB at N = 100), about a twelfth of one dense
 (N+1, 2N+1, 2N+1) stack.  The run adds them, in chunk order, into one
 zeroed buffer of the same layout, and divides that in place: the mean is
-a WalkResult's windows, and no stage of a run builds a dense stack.  The
-chunks write their rows into the run's (R, N+1) variance array.
+a WalkResult's windows, and no stage of a run builds a dense stack.  Run
+in-process, the first chunk adds its trajectories straight into that
+buffer, which then holds exactly that chunk's sums, and only later chunks
+hold sums of their own.  The chunks write their rows into the run's
+(R, N+1) variance array.
 
 A run's threads are processes across chunks and threads (lanes) across a
 chunk's groups.  A group adds its step-n windows only after the groups
@@ -34,6 +37,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -105,11 +109,13 @@ class _StepTurns:
             self._changed.notify_all()
 
 
-def _run_chunk(args) -> tuple[int, list[np.ndarray], np.ndarray]:
+def _run_chunk(args, window_sums: list[np.ndarray] | None = None
+               ) -> tuple[int, list[np.ndarray], np.ndarray]:
     """Per-step sums of the probability windows and per-trajectory variance
     rows for [start, stop), run in groups of _group_width by
     add_trajectories, which adds into the sums in trajectory order, so no
-    bit depends on the width.
+    bit depends on the width.  The sums are window_sums, which must be
+    zeroed, or new zeroed windows when it is None.
 
     The groups run on min(lanes, groups) lanes, this thread and a pool
     thread for each other lane; they take the groups in order and add each
@@ -121,7 +127,8 @@ def _run_chunk(args) -> tuple[int, list[np.ndarray], np.ndarray]:
     group order, raises its own error, as a serial run would.
     """
     config, start, stop, lanes = args
-    window_sums = zero_windows(config.steps)
+    if window_sums is None:
+        window_sums = zero_windows(config.steps)
     var_rows = np.empty((stop - start, config.steps + 1))
     width = _group_width(config.steps)
     groups = [(lo, min(lo + width, stop)) for lo in range(start, stop, width)]
@@ -192,8 +199,9 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     starts = range(traj_start, stop, CHUNK_SIZE)
     processes = min(threads, len(starts))
     chunk_args = ((config, a, min(a + CHUNK_SIZE, stop), threads // processes) for a in starts)
-    if processes == 1:
-        _sum_chunks(map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
+    if processes == 1:  # the first chunk sums into mean itself
+        chunks = map(_run_chunk, chunk_args, chain([mean], repeat(None)))
+        _sum_chunks(chunks, mean, per_traj_var, traj_start)
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             _sum_chunks(pool.map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
@@ -210,14 +218,17 @@ def _sum_chunks(chunk_results, window_sums: list[np.ndarray], per_traj_var: np.n
     it arrives, so only the sums and one chunk's sums are held, and write
     each chunk's variance rows into per_traj_var, whose row 0 is trajectory
     start.  The first chunk's sums are added to zeros, which leaves their
-    bits as they are: 0.0 + x is x for every x >= 0."""
+    bits as they are: 0.0 + x is x for every x >= 0.  So a first chunk
+    that summed into window_sums itself (run_ensemble in-process) is not
+    added again and gives the same bits."""
     row = 0
     for chunk_start, chunk_sums, var_rows in chunk_results:
         assert chunk_start == start + row, "chunk reduction out of order"
         per_traj_var[row:row + len(var_rows)] = var_rows
         row += len(var_rows)
-        for total, part in zip(window_sums, chunk_sums):
-            total += part
+        if chunk_sums is not window_sums:
+            for total, part in zip(window_sums, chunk_sums):
+                total += part
 
 
 def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],

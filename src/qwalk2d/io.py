@@ -5,7 +5,10 @@ per artifact kind, a schema-versioned JSON result document, and a
 hand-written SVG heatmap.  Everything is emitted with deterministic
 formatting so identical runs produce byte-identical files.
 
-The distributions CSV is the one artifact read back (by `qwalk2d fit`).
+The distributions CSV is the largest artifact: a long walk's is written by
+up to `threads` processes, each formatting a contiguous range of steps with
+the same function (see forkwrite), so the bytes are those of a serial
+write.  It is also the one artifact read back (by `qwalk2d fit`).
 A file made of the bytes the writer emits is parsed once by np.loadtxt and
 checked on whole columns; any other file, and any file that fails a check,
 is read again by the row-by-row parser, which alone words a bad row's
@@ -18,10 +21,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+import os
 import re
 from dataclasses import asdict, dataclass, field, fields
 from io import BytesIO
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ import numpy as np
 from .analysis import Distribution2D, grid_stack
 from .disorder import DisorderConfig
 from .errors import ConfigError, InvariantViolationError, check_unit_total
+from .forkwrite import write_ranges
 
 MANIFEST_SCHEMA_VERSION = 1
 RESULT_SCHEMA_VERSION = 1
@@ -215,44 +221,78 @@ def write_manifest(manifest: RunManifest, path) -> None:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "step,i,j,p"
+# the fewest rows (counted as grid sizes) worth a CSV-writing process of
+# their own: below 2 * MIN_PART_ROWS one process writes the file.  Forked
+# in two, the window CSV of a dynamical-spatial walk was written slower at
+# N = 20 (3,311 rows: 9.2 against 7.7-8.1 ms serial), about as fast at
+# N = 25 (6,201 rows) and faster from N = 30 (10,416 rows: 17.4-17.9
+# against 22.7-23.6 ms, in 22-24 of 25 alternated samples) on a 2-vCPU VM
+MIN_PART_ROWS = 10_000
 
 
-def write_distribution_csv(dists, path) -> None:
+def write_distribution_csv(dists, path, threads: int = 1) -> None:
     """Write an iterable of site distributions as rows `step,i,j,p`,
-    omitting zero sites (see _write_grids)."""
-    _write_grids(((d.step, d.probs, 1, d.half_width) for d in dists), path)
+    omitting zero sites, on up to threads processes (see _write_grids)."""
+    _write_grids(((d.step, d.probs, 1, d.half_width) for d in dists), path, threads)
 
 
-def write_window_csv(windows, path) -> None:
+def write_window_csv(windows, path, threads: int = 1) -> None:
     """Write per-step sublattice windows (see evolve.WalkResult) as the rows
-    write_distribution_csv writes for their dense grids, byte for byte:
-    window index u ascending is i = 2u - n ascending."""
-    _write_grids(((n, window, 2, n) for n, window in enumerate(windows)), path)
+    write_distribution_csv writes for their dense grids, byte for byte, on
+    up to threads processes: window index u ascending is i = 2u - n
+    ascending."""
+    _write_grids(((n, window, 2, n) for n, window in enumerate(windows)), path, threads)
 
 
-def _write_grids(grids, path) -> None:
+def _write_grids(grids, path, threads: int) -> None:
     """Write (step, grid, stride, offset) entries as rows `step,i,j,p`, one
     per positive p = grid[u, v], at i = stride u - offset and
-    j = stride v - offset.
+    j = stride v - offset, on up to threads processes.
 
     Every grid must sum to 1 (see check_unit_total), so an empty (all-zero)
     distribution is rejected outright.  All of them are checked before the
-    file is opened, so a rejected list writes no file.  The rows are then
-    written one step at a time; p is float.__repr__ of the value, formatted
-    at C level by the repr of the step's value list.
+    file is opened, so a rejected list writes no file.  The steps are then
+    cut into contiguous ranges of about equal row count (_range_bounds),
+    and forkwrite.write_ranges writes the first range in this process and
+    each later one in a forked helper, one step at a time, in step order.
+    Each step's rows come from _step_rows, so the bytes do not depend on
+    the range count.
     """
     grids = list(grids)  # read twice: an iterator would be spent by the checks
     for step, grid, _, _ in grids:
         check_unit_total(grid.sum(), f"distribution sum at step {step}")
+    bounds = _range_bounds(grids, threads)
     with open(path, "w") as handle:
         handle.write(_CSV_HEADER + "\n")
-        for step, grid, stride, offset in grids:
-            uu, vv = np.nonzero(grid > 0.0)
-            values = grid[uu, vv].astype(float, copy=False).tolist()
-            ii, jj = (stride * uu - offset).tolist(), (stride * vv - offset).tolist()
-            rows = zip(repeat(str(step)), map(str, ii), map(str, jj),
-                       repr(values)[1:-1].split(", "))
-            handle.write("\n".join(map(",".join, rows)) + "\n")
+        write_ranges(handle, grids, bounds, _step_rows)
+
+
+def _range_bounds(grids, threads: int) -> list[int]:
+    """0, the first step of each later range and the step count, for up to
+    min(threads, rows // MIN_PART_ROWS) contiguous ranges of about equal
+    row count, or one range where os.fork is missing.  Rows are counted as
+    grid sizes, (n + 1)^2 at window step n: an upper bound where zero
+    sites are omitted.  Empty ranges are dropped, so there may be fewer."""
+    ends = np.cumsum([grid.size for _, grid, _, _ in grids])  # rows of steps 0..n
+    total = int(ends[-1]) if len(grids) else 0
+    parts = min(threads, total // MIN_PART_ROWS) if hasattr(os, "fork") else 1
+    cuts = np.searchsorted(ends, total * np.arange(1, parts) / parts, side="right")
+    return [0, *sorted(set(cuts.tolist()) - {0, len(grids)}), len(grids)]
+
+
+def _step_rows(entry) -> str:
+    """The rows of one (step, grid, stride, offset) entry, each ending in a
+    newline.  p is float.__repr__ of the value, formatted at C level by the
+    repr of the step's value list; each row's "step,i," and "j," labels
+    are built once per step."""
+    step, grid, stride, offset = entry
+    uu, vv = np.nonzero(grid > 0.0)
+    values = repr(grid[uu, vv].astype(float, copy=False).tolist())[1:-1].split(", ")
+    heads = [f"{step},{stride * u - offset}," for u in range(grid.shape[0])]
+    tails = [f"{stride * v - offset}," for v in range(grid.shape[1])]
+    labels = map(operator.add, map(heads.__getitem__, uu.tolist()),
+                 map(tails.__getitem__, vv.tolist()))
+    return "\n".join(map(operator.add, labels, values)) + "\n"
 
 
 _CSV_ROW = np.dtype([("step", "i8"), ("i", "i8"), ("j", "i8"), ("p", "f8")])

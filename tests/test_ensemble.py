@@ -211,6 +211,35 @@ class TestBatchedChunk:
         assert sum(w.size for w in window_sums) == sum((n + 1) ** 2 for n in range(n_steps + 1))
         assert [w.shape for w in window_sums] == [(n + 1, n + 1) for n in range(n_steps + 1)]
 
+    # in-process, the first chunk sums into the run's mean itself, and only
+    # later chunks allocate sums of their own (the pool's chunks all do, in
+    # the workers); the mean has the bits of every chunk's own sums added
+    # into zeros in chunk order
+    @pytest.mark.parametrize("realizations,threads,allocations",
+                             [(32, 1, 1), (70, 1, 3), (70, 3, 1)],
+                             ids=["one-chunk", "three-chunks", "pool"])
+    def test_first_in_process_chunk_sums_into_the_mean(self, monkeypatch, realizations,
+                                                       threads, allocations):
+        cfg = config(realizations=realizations)
+        totals = evolve.zero_windows(cfg.steps)
+        for start in range(0, realizations, ensemble.CHUNK_SIZE):
+            stop = min(start + ensemble.CHUNK_SIZE, realizations)
+            _, sums, _ = ensemble._run_chunk((cfg, start, stop, 1))
+            for total, part in zip(totals, sums):
+                total += part
+        calls = []
+        zero_windows = ensemble.zero_windows
+
+        def recording(steps):
+            calls.append(steps)
+            return zero_windows(steps)
+
+        monkeypatch.setattr(ensemble, "zero_windows", recording)
+        result = run_ensemble(cfg, threads=threads)
+        assert len(calls) == allocations
+        for window, total in zip(result.windows, totals):
+            np.testing.assert_array_equal(window, total / realizations)
+
     def test_cli_run_peaks_below_one_dense_stack(self, tmp_path):
         # the whole `qwalk2d run` (walk, CSV, heatmap and result) keeps the
         # mean on the sublattice and scatters only the last step, so the

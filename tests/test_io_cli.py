@@ -304,6 +304,27 @@ class TestCliRun:
                            if not line.startswith("out_dir")]
         assert strip(dirs[0]) == strip(dirs[1])
 
+    # at N=60 the CSV has 77,531 rows, so with two threads a forked helper
+    # writes its later steps
+    def test_multi_process_csv_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        import qwalk2d.forkwrite as forkwrite
+
+        helpers = []
+        fork_helper = forkwrite._fork_helper
+
+        def recording(fd, grids, render):
+            helpers.append(len(grids))
+            return fork_helper(fd, grids, render)
+
+        monkeypatch.setattr(forkwrite, "_fork_helper", recording)
+        args = ["run", "--mode", "dynamical-spatial", "--zeta", "pi", "--steps", "60",
+                "--realizations", "4", "--seed", "5"]
+        for threads in ("1", "2"):
+            assert main(args + ["--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
+        assert len(helpers) == 1
+        for name in ("distributions.csv", "variance.csv", "result.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     # unset, threads is the size of the affinity set (a taskset or container
     # limit narrows it), not the host's CPU count; without an affinity call
     # it falls back to the CPU count, and to 1 when that is unknown
