@@ -23,9 +23,11 @@ hold sums of their own.  The chunks write their rows into the run's
 (R, N+1) variance array.
 
 A run's threads are processes across chunks and threads (lanes) across a
-chunk's groups.  A group adds its step-n windows only after the groups
-before it have added theirs, so the lane count changes no bit either, and
-a waiting group holds only its own state.
+chunk's groups.  Each group counts the steps it has added, and adds its
+step-n windows only once the group before it has added step n, so the
+lane count changes no bit either, and a waiting group holds only its own
+state.  A group that stops, having finished or failed, counts as having
+added every step, so it releases the groups after it.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ import contextlib
 import functools
 import numbers
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -64,7 +65,6 @@ class EnsembleResult(WalkResult):
 
     traj_ranges: list[tuple[int, int]]
     per_trajectory_variances: np.ndarray
-    elapsed_seconds: float = field(default=0.0, compare=False)
 
     @property
     def trajectory_count(self) -> int:
@@ -78,37 +78,6 @@ def _group_width(n_steps: int) -> int:
     return max(1, min(CHUNK_SIZE, GROUP_BYTES // per_trajectory))
 
 
-class _StepTurns:
-    """Turns at a chunk's per-step window sums: group g adds its step-n
-    windows only after groups 0..g-1 have added theirs, so every site gets
-    its additions in trajectory order however the groups' threads run.
-
-    A group that stops early, by an exception, leaves its remaining turns
-    abandoned; a group waiting on one raises instead of waiting forever.
-    """
-
-    def __init__(self, n_steps: int):
-        self._changed = threading.Condition()
-        self._done = [0] * (n_steps + 1)  # groups that have added step n
-        self._left: set[int] = set()  # groups that will add nothing more
-
-    @contextlib.contextmanager
-    def turn(self, group: int, n: int):
-        with self._changed:
-            self._changed.wait_for(lambda: self._done[n] == group or self._done[n] in self._left)
-            if self._done[n] != group:
-                raise RuntimeError(f"group {self._done[n]} abandoned its turn at step {n}")
-        yield
-        with self._changed:
-            self._done[n] += 1
-            self._changed.notify_all()
-
-    def leave(self, group: int) -> None:
-        with self._changed:
-            self._left.add(group)
-            self._changed.notify_all()
-
-
 def _run_chunk(args, window_sums: list[np.ndarray] | None = None
                ) -> tuple[int, list[np.ndarray], np.ndarray]:
     """Per-step sums of the probability windows and per-trajectory variance
@@ -118,13 +87,18 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
     zeroed, or new zeroed windows when it is None.
 
     The groups run on min(lanes, groups) lanes, this thread and a pool
-    thread for each other lane; they take the groups in order and add each
-    step's windows in group order (_StepTurns), so no bit depends on the
-    lane count either.  This thread walks too because the memory its groups
-    free stays with its allocator for the run's later stages: walked by
-    pool threads alone, a run's peak RSS rose by about 2 MB at N = 100.  No
-    lane takes a group after a failure, and the first group to fail, in
-    group order, raises its own error, as a serial run would.
+    thread for each other lane; they take the groups in order.  added[g]
+    counts the steps group g has added, and group g's turn at step n waits
+    until added[g - 1] > n, so every site gets its additions in trajectory
+    order and no bit depends on the lane count either.  With one lane the
+    group before has always finished, so no turn waits.  This thread walks
+    too because the memory its groups free stays with its allocator for the
+    run's later stages: walked by pool threads alone, a run's peak RSS rose
+    by about 2 MB at N = 100.  A group that stops, by finishing or by an
+    exception, counts as having added every step, so a failed group
+    releases the groups after it.  No lane takes a group after a failure,
+    and the first group to fail, in group order, raises its own error, as
+    a serial run would.
     """
     config, start, stop, lanes = args
     if window_sums is None:
@@ -132,35 +106,47 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
     var_rows = np.empty((stop - start, config.steps + 1))
     width = _group_width(config.steps)
     groups = [(lo, min(lo + width, stop)) for lo in range(start, stop, width)]
-    lanes = min(lanes, len(groups))
-    if lanes == 1:
-        for lo, hi in groups:
-            add_trajectories(config, lo, hi, window_sums, var_rows[lo - start:hi - start])
-        return start, window_sums, var_rows
-    turns = _StepTurns(config.steps)
-    order, order_lock = iter(range(len(groups))), threading.Lock()
+    added = [0] * len(groups)
+    changed = threading.Condition()  # guards added and the group order
+    order = iter(range(len(groups)))
     failed: dict[int, Exception] = {}
+
+    def set_added(g: int, count: int) -> None:
+        with changed:
+            added[g] = count
+            changed.notify_all()
+
+    @contextlib.contextmanager
+    def turn(g: int, n: int):
+        with changed:
+            changed.wait_for(lambda: g == 0 or added[g - 1] > n)
+        yield
+        set_added(g, n + 1)
 
     def lane():
         while not failed:
-            with order_lock:
+            with changed:
                 g = next(order, None)
             if g is None:
                 return
             lo, hi = groups[g]
             try:
                 add_trajectories(config, lo, hi, window_sums, var_rows[lo - start:hi - start],
-                                 functools.partial(turns.turn, g))
+                                 functools.partial(turn, g))
             except Exception as exc:
                 failed[g] = exc
             finally:
-                turns.leave(g)
+                set_added(g, config.steps + 1)
 
-    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
-        helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+    lanes = min(lanes, len(groups))
+    if lanes == 1:
         lane()
-    for helper in helpers:
-        helper.result()
+    else:
+        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+            helpers = [pool.submit(lane) for _ in range(lanes - 1)]
+            lane()
+        for helper in helpers:
+            helper.result()
     if failed:
         raise failed[min(failed)]
     return start, window_sums, var_rows
@@ -192,7 +178,6 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
         raise ConfigError(
             f"trajectory range [{traj_start}, {stop}) exceeds realizations={config.realizations}"
         )
-    t0 = time.perf_counter()
     mean = zero_windows(config.steps)
     per_traj_var = zeroed_array((stop - traj_start, config.steps + 1), "variance array",
                                 f"trajectories {traj_start}..{stop - 1}")
@@ -207,9 +192,7 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
             _sum_chunks(pool.map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
     for window in mean:
         window /= stop - traj_start
-    result = _finalize(config, [(traj_start, stop)], mean, per_traj_var)
-    result.elapsed_seconds = time.perf_counter() - t0
-    return result
+    return _finalize(config, [(traj_start, stop)], mean, per_traj_var)
 
 
 def _sum_chunks(chunk_results, window_sums: list[np.ndarray], per_traj_var: np.ndarray,
@@ -284,6 +267,4 @@ def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
     mean = [sum(p.trajectory_count * p.windows[n] for p in parts) / total
             for n in range(config.steps + 1)]
     per_traj_var = np.concatenate([rows for _, _, rows in pieces], axis=0)
-    merged = _finalize(config, ranges, mean, per_traj_var)
-    merged.elapsed_seconds = sum(p.elapsed_seconds for p in parts)
-    return merged
+    return _finalize(config, ranges, mean, per_traj_var)

@@ -91,6 +91,15 @@ def _parse_threads(text: str) -> int:
     return threads
 
 
+def _parse_out_dir(text: str) -> str:
+    """A directory the config format holds as it is: no '#' (a comment),
+    no line break and no surrounding whitespace, which a read would drop."""
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ConfigError(f"out_dir {text!r} does not survive the config format: "
+                          "it holds a '#', a line break or surrounding whitespace")
+    return text
+
+
 def _parse_engine(text: str) -> str:
     if text not in ("trajectory", "exact"):
         raise ConfigError(f"unknown engine {text!r}")
@@ -107,7 +116,9 @@ class RunManifest:
     left unset.  engine and schema have no flag: the subcommand sets engine.
     mode, zeta, steps, realizations and seed are checked as DisorderConfig
     checks them, and threads as run_ensemble does, when parsed, so a bad
-    value in a file is an error naming the file.
+    value in a file is an error naming the file.  An out_dir that the
+    config format would not read back as written is rejected, so a run's
+    manifest.cfg names the directory the run wrote to.
     """
 
     schema_version: int = _setting("schema", _parse_schema, MANIFEST_SCHEMA_VERSION)
@@ -126,7 +137,7 @@ class RunManifest:
     engine: str = _setting("engine", _parse_engine, "trajectory")
     threads: int | None = _setting(
         "threads", _parse_threads, None, "worker count; 1 is the serial reference path")
-    out_dir: str = _setting("out_dir", str, "qwalk2d-out", "artifact directory")
+    out_dir: str = _setting("out_dir", _parse_out_dir, "qwalk2d-out", "artifact directory")
     fit_n_lo: int = _setting("fit.n_lo", int, 10, "scaling fit window start (step index)")
     fit_n_hi: int | None = _setting("fit.n_hi", int, None, "scaling fit window end (default: steps)")
     fit_d_lo: int = _setting("fit.d_lo", int, 2, "localization fit window start (|coordinate|)")
@@ -306,8 +317,9 @@ _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
 def _parsed_columns(path):
     """The step, i, j and p columns of a file that _checked_columns would
-    accept, parsed at C speed and checked on whole arrays; None when the
-    header, a byte, the parser or any check fails.  It words no error: the
+    accept and whose rows are in the writer's (step, i, j) order, parsed at
+    C speed and checked on whole arrays; None when the header, a byte, the
+    parser, the order or any check fails.  It words no error: the
     caller then runs _checked_columns, which does."""
     header, _, body = Path(path).read_bytes().partition(b"\n")
     if header.rstrip(b"\r") != _CSV_HEADER.encode() or body.translate(None, _FAST_BYTES):
@@ -325,13 +337,10 @@ def _parsed_columns(path):
     # steps are >= 0 from here on, so -step cannot overflow (np.abs can)
     if ((i < -step) | (i > step) | (j < -step) | (j > step)).any():
         return None
-    s, u, v = step, i, j
-    if not _strictly_increasing(s, u, v):  # the writer emits rows in key order
-        order = np.lexsort((v, u, s))
-        s, u, v = s[order], u[order], v[order]
-        if not _strictly_increasing(s, u, v):  # a repeated (step, i, j)
-            return None
-    if s[-1] != np.count_nonzero(s[1:] != s[:-1]):  # a step is missing
+    # the writer emits rows in key order, which also rules out a repeated key
+    if not _strictly_increasing(step, i, j):
+        return None
+    if step[-1] != np.count_nonzero(step[1:] != step[:-1]):  # a step is missing
         return None
     return step, i, j, p
 

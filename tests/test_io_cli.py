@@ -28,6 +28,7 @@ from qwalk2d.io import (
     read_manifest,
     render_heatmap_svg,
     write_distribution_csv,
+    write_manifest,
     write_result_json,
     write_window_csv,
 )
@@ -92,6 +93,12 @@ class TestManifest:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             manifest_from_pairs({"steps": "twenty"})
+
+    def test_out_dir_with_inner_spaces_round_trips(self, tmp_path):
+        manifest = RunManifest(mode="none", seed=1, out_dir="runs/first try  2")
+        path = tmp_path / "manifest.cfg"
+        write_manifest(manifest, path)
+        assert read_manifest(path) == manifest
 
     def test_mode_and_seed_required_for_config(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -206,6 +213,17 @@ class TestDistributionCsv:
             assert got.half_width == 2
             assert got.probs.tobytes() == want.probs.tobytes()
         for want, got in zip(back, reference_read_distribution_csv(path)):
+            assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_rows_out_of_key_order_read_the_same_grids_row_by_row(self, tmp_path):
+        dists = [make_dist({(0, 0): 1.0}, 1, step=0), make_dist(FIRST_STEP, 1, step=1)]
+        path, reversed_path = tmp_path / "d.csv", tmp_path / "reversed.csv"
+        write_distribution_csv(dists, path)
+        header, *rows = path.read_text().splitlines()
+        reversed_path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        assert _parsed_columns(reversed_path) is None
+        for want, got in zip(read_distribution_csv(path), read_distribution_csv(reversed_path)):
+            assert got.step == want.step and got.half_width == want.half_width
             assert got.probs.tobytes() == want.probs.tobytes()
 
 
@@ -690,6 +708,19 @@ class TestCliExitCodes:
                      "--out-dir", str(blocker)])
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a#b", "a\nb", "a\u2028b", " a", "a "],
+                             ids=["hash", "newline", "line-separator", "leading-space",
+                                  "trailing-space"])
+    def test_out_dir_the_manifest_cannot_hold_is_config_error(self, tmp_path, capsys,
+                                                              monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--mode", "none", "--zeta", "0", "--steps", "3",
+                     "--realizations", "1", "--seed", "1", "--threads", "1",
+                     "--out-dir", name])
+        assert code == 2
+        assert "error: out_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_engine_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
