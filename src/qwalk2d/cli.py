@@ -9,7 +9,8 @@ from the result's per-step sublattice windows: the CSV rows come from the
 windows, and only the last step is scattered onto a (2N+1)^2 grid, for
 the axis cuts and the heatmap.  A run's threads (its `threads` setting,
 else the CPUs the process may use) also bound the processes that format
-the distributions CSV (see io._write_grids).
+the distributions CSV (see io._write_grids); `fit` parses the CSV on up
+to as many processes as the CPUs it may use (see io._parsed_columns).
 All three subcommands end in one tail, _fit_and_write, which fits V(n)
 and the final distribution and writes the result document.  Each other
 RunManifest setting has a flag named after its config key (`fit.n_lo` is
@@ -166,7 +167,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    grids, half_width = read_distribution_stack(args.distributions)
+    grids, half_width = read_distribution_stack(args.distributions, _usable_cpus())
     pairs = read_manifest_pairs(args.manifest) if args.manifest else {}
     config = manifest_from_pairs(pairs).disorder_config() if args.manifest else None
     manifest = manifest_from_pairs({**pairs, **_flag_pairs(args)})

@@ -9,11 +9,13 @@ The distributions CSV is the largest artifact: a long walk's is written by
 up to `threads` processes, each formatting a contiguous range of steps with
 the same function (see forkwrite), so the bytes are those of a serial
 write.  It is also the one artifact read back (by `qwalk2d fit`).
-A file made of the bytes the writer emits is parsed once by np.loadtxt and
-checked on whole columns; any other file, and any file that fails a check,
-is read again by the row-by-row parser, which alone words a bad row's
-error.  So both paths accept the same files, with the same values, and
-reject the same files with the same messages.
+A file made of the bytes the writer emits is parsed by np.loadtxt, on up
+to `threads` processes, each parsing whole lines of a contiguous part of
+the file with the same call (see forkwrite), and checked once on the
+joined columns; any other file, and any file that fails a check or a
+parsing process, is read again by the row-by-row parser, which alone words
+a bad row's error.  So both paths accept the same files, with the same
+values, and reject the same files with the same messages.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import operator
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from io import BytesIO
 from itertools import chain
 from pathlib import Path
@@ -34,7 +37,7 @@ import numpy as np
 from .analysis import Distribution2D, grid_stack
 from .disorder import DisorderConfig
 from .errors import ConfigError, InvariantViolationError, check_unit_total
-from .forkwrite import write_ranges
+from .forkwrite import forked, write_ranges
 
 MANIFEST_SCHEMA_VERSION = 1
 RESULT_SCHEMA_VERSION = 1
@@ -93,10 +96,11 @@ def _parse_threads(text: str) -> int:
 
 def _parse_out_dir(text: str) -> str:
     """A directory the config format holds as it is: no '#' (a comment),
-    no line break and no surrounding whitespace, which a read would drop."""
-    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
-        raise ConfigError(f"out_dir {text!r} does not survive the config format: "
-                          "it holds a '#', a line break or surrounding whitespace")
+    no line break and no surrounding whitespace, which a read would drop,
+    and no NUL byte, which no path can hold."""
+    if "#" in text or "\0" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ConfigError(f"out_dir {text!r} does not survive the config format: it holds "
+                          "a '#', a NUL byte, a line break or surrounding whitespace")
     return text
 
 
@@ -313,23 +317,57 @@ _CSV_ROW = np.dtype([("step", "i8"), ("i", "i8"), ("j", "i8"), ("p", "f8")])
 # even where they are not valid text), so a file holding any other byte is
 # read row by row.
 _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
+# what is left of a file with the header and a body of _FAST_BYTES when the
+# _FAST_BYTES are taken out: the header's letters
+_HEADER_LETTERS = _CSV_HEADER.encode().translate(None, _FAST_BYTES)
+# lines np.loadtxt skips as blank: empty, or a lone carriage return
+_BLANK_LINES = re.compile(rb"(?:\r?\n)*\r?")
+# the fewest body bytes (the bytes after the header) worth a parsing process
+# of their own: below 2 * MIN_PARSE_BYTES one process parses the file.
+# Parsed in two, a dynamical-spatial walk's CSV (about 31 bytes a row) was
+# read slower at N = 30 (324 kB: faster in 2 of 30 alternated samples),
+# about as fast at N = 35 (507 kB: 17 of 30) and faster from N = 40
+# (748 kB: 23 of 30; 2.4 MB at N = 60: 28 of 30) on a 2-vCPU VM, and
+# slower up to N = 60 in sets where the second vCPU was held by other work.
+# 640 kB is about the writer's 2 * MIN_PART_ROWS rows, counted without a
+# pass over the file
+MIN_PARSE_BYTES = 320_000
 
 
-def _parsed_columns(path):
+def _parsed_columns(path, threads: int = 1):
     """The step, i, j and p columns of a file that _checked_columns would
     accept and whose rows are in the writer's (step, i, j) order, parsed at
-    C speed and checked on whole arrays; None when the header, a byte, the
-    parser, the order or any check fails.  It words no error: the
-    caller then runs _checked_columns, which does."""
-    header, _, body = Path(path).read_bytes().partition(b"\n")
-    if header.rstrip(b"\r") != _CSV_HEADER.encode() or body.translate(None, _FAST_BYTES):
+    C speed in up to threads processes and checked on whole arrays; None
+    when the header, a byte, the parser, a parsing process, the order or
+    any check fails.  It words no error: the caller then runs
+    _checked_columns, which does.
+
+    The body is cut into parts just after line breaks (_part_cuts), so
+    every line falls whole into one part.  A forked helper parses each
+    part but the last with _part_rows, as this process parses the last,
+    and hands back the raw records (see forkwrite); this process joins
+    the parts in order and checks the whole columns once.
+    """
+    data = Path(path).read_bytes()
+    start = data.find(b"\n") + 1
+    if (not start or data[:start - 1].rstrip(b"\r") != _CSV_HEADER.encode()
+            or data.translate(None, _FAST_BYTES) != _HEADER_LETTERS):
         return None
-    if not body.strip():  # no rows, on which np.loadtxt would warn
-        return None
+    cuts = _part_cuts(data, start, threads)
+    jobs = [partial(_write_part_rows, data, lo, hi) for lo, hi in zip(cuts, cuts[1:-1])]
     try:
-        rows = np.loadtxt(BytesIO(body), delimiter=",", comments=None, quotechar=None,
-                          ndmin=1, dtype=_CSV_ROW)
-    except ValueError:
+        with forked(jobs) as helpers:
+            last = _part_rows(data, cuts[-2], cuts[-1])
+            parts = []
+            for status, out in helpers:
+                if status != 0:
+                    return None
+                out.seek(0)
+                parts.append(np.fromfile(out, _CSV_ROW))
+    except (ValueError, OSError):
+        return None
+    rows = np.concatenate([*parts, last]) if parts else last
+    if not rows.size:
         return None
     step, i, j, p = (rows[name] for name in _CSV_ROW.names)
     if step.min() != 0 or (p < 0).any():
@@ -343,6 +381,39 @@ def _parsed_columns(path):
     if step[-1] != np.count_nonzero(step[1:] != step[:-1]):  # a step is missing
         return None
     return step, i, j, p
+
+
+def _part_cuts(data: bytes, start: int, threads: int) -> list[int]:
+    """start, the first byte of each later part and len(data), for up to
+    min(threads, body bytes // MIN_PARSE_BYTES) parts of about equal size
+    of the body data[start:], or one part where os.fork is missing.  Each
+    later part starts just after the first line break at or after its
+    share of the body, so a part may be empty."""
+    size = len(data) - start
+    parts = min(threads, size // MIN_PARSE_BYTES) if hasattr(os, "fork") else 1
+    return [start, *(data.find(b"\n", start + k * size // parts) + 1 or len(data)
+                     for k in range(1, parts)), len(data)]
+
+
+def _part_rows(data: bytes, lo: int, hi: int) -> np.ndarray:
+    """The records np.loadtxt parses from the lines data[lo:hi]; none,
+    without loadtxt's empty-input warning, where every line is blank.
+    The last part is read in place, as a BytesIO shares the buffer of the
+    bytes it is made from; any other part is copied out first."""
+    if _BLANK_LINES.fullmatch(data, lo, hi):
+        return np.empty(0, _CSV_ROW)
+    if hi < len(data):
+        data, lo = data[lo:hi], 0
+    stream = BytesIO(data)
+    stream.seek(lo)
+    return np.loadtxt(stream, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                      dtype=_CSV_ROW)
+
+
+def _write_part_rows(data: bytes, lo: int, hi: int, fd: int) -> None:
+    """Write the raw records of _part_rows(data, lo, hi) to the file descriptor fd."""
+    with open(fd, "wb", closefd=False) as out:
+        out.write(_part_rows(data, lo, hi).data)
 
 
 def _strictly_increasing(s, u, v) -> bool:
@@ -402,7 +473,7 @@ def _checked_columns(path):
     return (*keys.T, np.fromiter(rows.values(), float, len(rows)))
 
 
-def read_distribution_stack(path) -> tuple[np.ndarray, int]:
+def read_distribution_stack(path, threads: int = 1) -> tuple[np.ndarray, int]:
     """The (steps, L, L) grid stack of a distributions CSV, and its half
     width h (the largest |i| or |j|, at least 1; L = 2 h + 1).
 
@@ -410,11 +481,11 @@ def read_distribution_stack(path) -> tuple[np.ndarray, int]:
     skipped; there are no comments.  Steps must be contiguous from 0, each
     (step, i, j) may appear once with |i|, |j| <= step, where a walk can
     be, and no p may be negative.  A ConfigError names the file, and the
-    line of a bad row.  A valid file is parsed once at C speed
-    (_parsed_columns); only a file that fails there is read again row by
-    row, which words the error.
+    line of a bad row.  A valid file is parsed once at C speed, on up to
+    threads processes (_parsed_columns); only a file that fails there is
+    read again row by row, which words the error.
     """
-    columns = _parsed_columns(path)
+    columns = _parsed_columns(path, threads)
     step, i, j, p = _checked_columns(path) if columns is None else columns
     half_width = max(int(np.abs(i).max()), int(np.abs(j).max()), 1)
     try:

@@ -1,11 +1,12 @@
-"""The distributions CSV written by several processes: the same bytes for
-any part count, and no child process or temporary file left behind when a
-part fails."""
+"""The distributions CSV written and read by several processes: the same
+bytes and the same columns for any part count, and no child process or
+temporary file left behind when a part fails."""
 
 import errno
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import qwalk2d.forkwrite as forkwrite
 import qwalk2d.io as io
 from qwalk2d import DisorderConfig, DisorderMode, Distribution2D, run_ensemble
 from qwalk2d.cli import main
+from qwalk2d.errors import ConfigError
 
 
 def windows_of(mode, steps=9, realizations=3):
@@ -29,22 +31,37 @@ def assert_no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The step ranges given to helpers, recorded as forkwrite._fork_helper
-    is called."""
-    ranges = []
-    fork_helper = forkwrite._fork_helper
+    """The arguments of each helper's job, recorded as forkwrite._fork is
+    called: (items, render) for a CSV write, (data, lo, hi) for a read."""
+    jobs = []
+    fork = forkwrite._fork
 
-    def recording(fd, grids, render):
-        ranges.append([step for step, _, _, _ in grids])
-        return fork_helper(fd, grids, render)
+    def recording(job, fd):
+        jobs.append(job.args)
+        return fork(job, fd)
 
-    monkeypatch.setattr(forkwrite, "_fork_helper", recording)
-    return ranges
+    monkeypatch.setattr(forkwrite, "_fork", recording)
+    return jobs
+
+
+def steps_of(forks):
+    """The steps of each helper's range of a CSV write."""
+    return [[step for step, _, _, _ in items] for items, _ in forks]
 
 
 @pytest.fixture
 def split_everything(monkeypatch):
     monkeypatch.setattr(io, "MIN_PART_ROWS", 1)
+    monkeypatch.setattr(io, "MIN_PARSE_BYTES", 1)
+
+
+def open_fds():
+    """The file descriptors this process holds open."""
+    return sorted(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def same_columns(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def row_loop(entries):
@@ -80,7 +97,8 @@ class TestSameBytes:
         io.write_window_csv(windows, tmp_path / "parts.csv", threads)
         # a range of steps may round to empty and be dropped
         assert 0 < len(forks) < min(threads, len(windows))
-        assert [step for steps in forks for step in steps] == list(range(forks[0][0], 10))
+        steps = [step for part in steps_of(forks) for step in part]
+        assert steps == list(range(steps[0], 10))
         assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["parts.csv", "serial.csv"]
         assert_no_child_left()
@@ -174,7 +192,7 @@ class TestFailedPart:
         path = tmp_path / "d.csv"
         with pytest.raises(OSError, match=f"{path}: the process writing items"):
             io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path, 3)
-        assert forks == [[6, 7], [8, 9]]
+        assert steps_of(forks) == [[6, 7], [8, 9]]
         assert os.listdir(tmp_path) == ["d.csv"]
         assert_no_child_left()
 
@@ -216,4 +234,135 @@ class TestFailedPart:
         assert time.monotonic() - t0 < 30
         assert len(forks) == 2
         assert os.listdir(tmp_path) == ["d.csv"]
+        assert_no_child_left()
+
+
+class TestParsedInParts:
+    # an N=60 walk: 77,531 rows, about 2.4 MB, which holds three parts of
+    # MIN_PARSE_BYTES
+    @pytest.fixture(scope="class")
+    def long_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL, 60, 2), path)
+        return path
+
+    def test_writer_made_file_reads_the_same_columns_in_1_2_3_parts(self, long_csv, forks):
+        assert long_csv.stat().st_size > 3 * io.MIN_PARSE_BYTES
+        one = io._parsed_columns(long_csv, 1)
+        assert forks == [] and len(one[0]) == 77_531
+        for threads in (2, 3):
+            assert same_columns(io._parsed_columns(long_csv, threads), one)
+            assert len(forks) == threads - 1
+            # each helper's part starts and ends just after a line break, and
+            # the next part starts where it ends
+            assert all(data[lo - 1:lo] == data[hi - 1:hi] == b"\n" for data, lo, hi in forks)
+            assert [hi for _, _, hi in forks[:-1]] == [lo for _, lo, _ in forks[1:]]
+            forks.clear()
+        want = io.read_distribution_stack(long_csv, 1)[0]
+        assert io.read_distribution_stack(long_csv, 3)[0].tobytes() == want.tobytes()
+        assert_no_child_left()
+
+    # two parts from twice MIN_PARSE_BYTES of body, the bytes after the header
+    @pytest.mark.parametrize("extra,helpers", [(1, 0), (0, 1)], ids=["below", "above"])
+    def test_two_parts_from_twice_the_minimum(self, long_csv, forks, monkeypatch, extra,
+                                              helpers):
+        body = long_csv.stat().st_size - len("step,i,j,p\n")
+        monkeypatch.setattr(io, "MIN_PARSE_BYTES", body // 2 + extra)
+        assert io._parsed_columns(long_csv, 2) is not None
+        assert len(forks) == helpers
+
+    def test_without_fork_one_process_parses(self, long_csv, forks, monkeypatch):
+        one = io._parsed_columns(long_csv, 1)
+        monkeypatch.delattr(os, "fork")
+        assert same_columns(io._parsed_columns(long_csv, 3), one)
+        assert forks == []
+
+    @pytest.mark.usefixtures("split_everything")
+    def test_a_part_of_blank_lines_reads_no_rows_and_no_warning(self, tmp_path, forks):
+        # three parts of a 90-byte body: the row and blank lines, then blank
+        # lines only in a helper's part and in this process's
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"step,i,j,p\n0,0,0,1.0\n" + b"\r\n" * 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a helper inherits the filter
+            columns = io._parsed_columns(path, 3)
+        assert same_columns(columns, io._parsed_columns(path, 1))
+        assert len(forks) == 2
+        assert io._part_rows(path.read_bytes(), *forks[1][1:]).size == 0
+        assert_no_child_left()
+
+
+@pytest.mark.usefixtures("split_everything")
+class TestFailedParse:
+    @pytest.fixture
+    def failing_helpers(self, monkeypatch, request):
+        """Helpers that fail: np.loadtxt raises a ValueError in any process
+        but this one, or leaves it with exit code 1, or a helper raises once
+        it has written all of its records."""
+        parent, loadtxt, write_part_rows = os.getpid(), np.loadtxt, io._write_part_rows
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                if request.param == "raises":
+                    raise ValueError("cannot parse")
+                os._exit(1)
+            return loadtxt(*args, **kwargs)
+
+        def failing_once_written(*args):
+            write_part_rows(*args)
+            raise OSError("failed after the write")
+
+        if request.param == "after-writing":
+            monkeypatch.setattr(io, "_write_part_rows", failing_once_written)
+        else:
+            monkeypatch.setattr(np, "loadtxt", failing)
+
+    @staticmethod
+    def outcome(path, threads):
+        try:
+            grids, half_width = io.read_distribution_stack(path, threads)
+        except ConfigError as exc:
+            return str(exc)
+        return grids.tobytes(), half_width
+
+    # a valid file, and one whose steps 0 and 2 pass the parse but not the
+    # row loop's contiguity check
+    @pytest.mark.parametrize("failing_helpers", ["raises", "exits", "after-writing"],
+                             indirect=True)
+    @pytest.mark.parametrize("body", ["valid", "0,0,0,1.0\n2,0,0,1.0\n"])
+    def test_failing_helper_reads_as_the_row_loop_reads(self, tmp_path, forks, body,
+                                                        failing_helpers):
+        path = tmp_path / "d.csv"
+        if body == "valid":
+            io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path)
+        else:
+            path.write_text("step,i,j,p\n" + body)
+        want = self.outcome(path, 1)
+        assert forks == []
+        fds = open_fds()
+        assert io._parsed_columns(path, 3) is None
+        assert len(forks) == 2
+        assert self.outcome(path, 3) == want
+        assert open_fds() == fds
+        assert_no_child_left()
+
+    def test_error_in_this_process_kills_and_reaps_the_parsers(self, tmp_path, forks,
+                                                               monkeypatch):
+        parent = os.getpid()
+        path = tmp_path / "d.csv"
+        io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path)
+
+        def stalling(data, lo, hi):
+            if os.getpid() != parent:
+                time.sleep(60)  # a helper that would outlive the test
+            raise RuntimeError("parent failed")
+
+        monkeypatch.setattr(io, "_part_rows", stalling)
+        fds = open_fds()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent failed"):
+            io._parsed_columns(path, 3)
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 2
+        assert open_fds() == fds
         assert_no_child_left()

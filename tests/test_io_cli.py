@@ -328,13 +328,13 @@ class TestCliRun:
         import qwalk2d.forkwrite as forkwrite
 
         helpers = []
-        fork_helper = forkwrite._fork_helper
+        fork = forkwrite._fork
 
-        def recording(fd, grids, render):
-            helpers.append(len(grids))
-            return fork_helper(fd, grids, render)
+        def recording(job, fd):
+            helpers.append(job)
+            return fork(job, fd)
 
-        monkeypatch.setattr(forkwrite, "_fork_helper", recording)
+        monkeypatch.setattr(forkwrite, "_fork", recording)
         args = ["run", "--mode", "dynamical-spatial", "--zeta", "pi", "--steps", "60",
                 "--realizations", "4", "--seed", "5"]
         for threads in ("1", "2"):
@@ -345,7 +345,8 @@ class TestCliRun:
 
     # unset, threads is the size of the affinity set (a taskset or container
     # limit narrows it), not the host's CPU count; without an affinity call
-    # it falls back to the CPU count, and to 1 when that is unknown
+    # it falls back to the CPU count, and to 1 when that is unknown.  fit
+    # parses its CSV on as many processes
     @pytest.mark.parametrize("affinity,cpus,threads",
                              [({0, 3}, 8, 2), (None, 5, 5), (None, None, 1)],
                              ids=["affinity", "cpu-count", "unknown"])
@@ -354,12 +355,18 @@ class TestCliRun:
         import qwalk2d.cli as cli_mod
 
         asked = []
+        read_stack = cli_mod.read_distribution_stack
 
         def recording(config, threads):
             asked.append(threads)
             return run_ensemble(config, threads=1)
 
+        def reading(path, threads):
+            asked.append(threads)
+            return read_stack(path, threads)
+
         monkeypatch.setattr(cli_mod, "run_ensemble", recording)
+        monkeypatch.setattr(cli_mod, "read_distribution_stack", reading)
         if affinity is None:
             monkeypatch.delattr(cli_mod.os, "sched_getaffinity", raising=False)
         else:
@@ -368,9 +375,10 @@ class TestCliRun:
         out = tmp_path / "out"
         assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "2",
                      "--realizations", "2", "--seed", "1", "--out-dir", str(out)]) == 0
-        assert asked == [threads]
         manifest = (out / "manifest.cfg").read_text().splitlines()
         assert not [line for line in manifest if line.startswith("threads")]
+        assert main(["fit", str(out / "distributions.csv")]) == 0
+        assert asked == [threads, threads]
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -721,6 +729,17 @@ class TestCliExitCodes:
         assert code == 2
         assert "error: out_dir" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    # only a config file can carry a NUL byte: a command line cannot
+    def test_out_dir_with_a_nul_byte_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out_dir = a\0b\n")
+        code = main(["run", "--config", str(cfg), "--mode", "none", "--zeta", "0",
+                     "--steps", "3", "--realizations", "1", "--seed", "1", "--threads", "1"])
+        assert code == 2
+        assert f"error: {cfg}: out_dir 'a\\x00b'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_engine_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,9 +1,10 @@
 """Property tests: the walk unitary that both engines share, the phase
 window a step is handed, the manifest text format, zeta parsing,
-`qwalk2d fit` on arbitrary manifest text, and the distributions CSV reader
-against the row-by-row reader it replaced."""
+`qwalk2d fit` on arbitrary manifest text, and the distributions CSV reader,
+in one process and in parts, against the row-by-row reader it replaced."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qwalk2d.state import (
     apply_shift_x,
     apply_shift_y,
 )
+import qwalk2d.io as io_mod
 from qwalk2d.cli import main
 from qwalk2d.io import (
     RunManifest,
@@ -37,6 +39,7 @@ from qwalk2d.io import (
     parse_manifest_text,
     parse_zeta,
     read_distribution_csv,
+    read_distribution_stack,
     write_distribution_csv,
 )
 from conftest import full_grid_step, random_state
@@ -351,7 +354,10 @@ class TestDistributionCsvWriter:
 class TestDistributionCsvReader:
     """read_distribution_csv against the row-by-row reader it replaced
     (reference.py): on any file, both return the same grids and half widths,
-    or raise the same error with the same message."""
+    or raise the same error with the same message.  Read in three parts of
+    at least one byte each, so that cuts land on blank lines, CRLF endings,
+    bad rows and parts with no rows, read_distribution_stack gives the
+    outcome of both."""
 
     @pytest.fixture(scope="class")
     def csv_path(self, tmp_path_factory):
@@ -365,9 +371,26 @@ class TestDistributionCsvReader:
             return type(exc), str(exc)
         return [(d.step, d.half_width, d.probs.tobytes()) for d in dists]
 
+    @staticmethod
+    def read_in_parts(path):
+        grids, half_width = read_distribution_stack(path, 3)
+        return [Distribution2D(grid, half_width, n) for n, grid in enumerate(grids)]
+
     @settings(deadline=None, max_examples=500)
     @given(seed=seeds, n_steps=st.integers(0, 3), data=st.data())
     def test_mutated_files_read_as_the_row_loop_reads_them(self, csv_path, seed, n_steps, data):
+        self.check_mutated_file(csv_path, seed, n_steps, data, parts=1)
+
+    @settings(deadline=None, max_examples=500)
+    @given(seed=seeds, n_steps=st.integers(0, 3), data=st.data())
+    def test_mutated_files_read_in_parts_as_the_row_loop_reads_them(self, csv_path, seed,
+                                                                    n_steps, data):
+        self.check_mutated_file(csv_path, seed, n_steps, data, parts=3)
+
+    def check_mutated_file(self, csv_path, seed, n_steps, data, parts):
+        """A writer-made file of n_steps + 1 random steps, one or two random
+        edits, then the outcome of reading it in one process and, for parts
+        > 1, in that many parts, against the reference reader's."""
         rng = np.random.default_rng(seed)
         size = 2 * n_steps + 1
         dists = []
@@ -394,5 +417,8 @@ class TestDistributionCsvReader:
                 lines = LINE_EDITS[edit](lines, k, m)
         end = data.draw(st.sampled_from(["\n", "\r\n"]))
         csv_path.write_bytes((end.join(lines) + end).encode("utf-8", "surrogateescape"))
-        assert (self.outcome(read_distribution_csv, csv_path)
-                == self.outcome(reference_read_distribution_csv, csv_path))
+        want = self.outcome(reference_read_distribution_csv, csv_path)
+        assert self.outcome(read_distribution_csv, csv_path) == want
+        if parts > 1:
+            with mock.patch.object(io_mod, "MIN_PARSE_BYTES", 1):
+                assert self.outcome(self.read_in_parts, csv_path) == want
