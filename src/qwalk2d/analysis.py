@@ -71,14 +71,6 @@ def zeroed_array(shape: tuple[int, ...], what: str, needed_by: str) -> np.ndarra
         raise ConfigError(f"{needed_by} need a {dims} {what}, which cannot be allocated") from None
 
 
-def grid_stack(n_steps: int, half_width: int) -> np.ndarray:
-    """A zeroed (n_steps, L, L) stack of site grids, L = 2 half_width + 1;
-    a ConfigError naming the shape if it cannot be allocated."""
-    size = 2 * half_width + 1
-    return zeroed_array((n_steps, size, size), "grid stack",
-                        f"{n_steps} steps on |i|, |j| <= {half_width}")
-
-
 def site_coordinates(half_width: int) -> np.ndarray:
     return np.arange(-half_width, half_width + 1)
 

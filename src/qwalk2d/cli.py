@@ -7,18 +7,20 @@ The subcommand picks the engine, that is the runner (run_ensemble or
 exact_run); both return a WalkResult, and one path writes its artifacts
 from the result's per-step sublattice windows: the CSV rows come from the
 windows, and only the last step is scattered onto a (2N+1)^2 grid, for
-the axis cuts and the heatmap.  A run's threads (its `threads` setting,
-else the CPUs the process may use) also bound the processes that format
-the distributions CSV (see io._write_grids); `fit` parses the CSV on up
-to as many processes as the CPUs it may use (see io._parsed_columns).
-All three subcommands end in one tail, _fit_and_write, which fits V(n)
-and the final distribution and writes the result document.  Each other
-RunManifest setting has a flag named after its config key (`fit.n_lo` is
-`--fit-n-lo`; `fit` takes only the `fit.*` ones).  Exit codes: 0 success,
-2 bad configuration (a malformed file line or value, schema not 1, engine
-neither trajectory nor exact, a run's window buffer of sum_n (n + 1)^2
-values or a CSV's grid stack too large to allocate), 3 I/O failure, 4
-violated numerical invariant.
+the axis cuts and the heatmap; `fit` reads the CSV back into such windows
+(N is its last step), so no subcommand builds a dense (N+1, 2N+1, 2N+1)
+stack.  A run's threads (its `threads` setting, else the CPUs the process
+may use) also bound the processes that format the distributions CSV (see
+io._write_grids); `fit` parses the CSV on up to as many processes as the
+CPUs it may use (see io._parsed_columns).  All three subcommands end in
+one tail, _fit_and_write, which fits V(n) and the final distribution and
+writes the result document.  Each other RunManifest setting has a flag
+named after its config key (`fit.n_lo` is `--fit-n-lo`; `fit` takes only
+the `fit.*` ones).  Exit codes: 0 success, 2 bad configuration (a
+malformed file line or value, schema not 1, engine neither trajectory nor
+exact, a window buffer of sum_n (n + 1)^2 values, n up to a run's N or a
+CSV's last step, too large to allocate), 3 I/O failure, 4 violated
+numerical invariant.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .analysis import (
-    Distribution2D,
-    axis_cuts,
-    fit_localization,
-    fit_scaling_exponent,
-    variance_series,
-)
+from .analysis import Distribution2D, axis_cuts, fit_localization, fit_scaling_exponent
 from .ensemble import run_ensemble
 from .errors import (
     AnalysisError,
@@ -45,12 +41,12 @@ from .errors import (
     PhaseCoverageError,
     TrajectoryFailure,
 )
-from .evolve import exact_run
+from .evolve import exact_run, scatter_window, window_variances
 from .io import (
     RunManifest,
     build_result_document,
     manifest_from_pairs,
-    read_distribution_stack,
+    read_distribution_windows,
     read_manifest_pairs,
     render_heatmap_svg,
     write_manifest,
@@ -167,16 +163,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    grids, half_width = read_distribution_stack(args.distributions, _usable_cpus())
+    windows = read_distribution_windows(args.distributions, _usable_cpus())
     pairs = read_manifest_pairs(args.manifest) if args.manifest else {}
     config = manifest_from_pairs(pairs).disorder_config() if args.manifest else None
     manifest = manifest_from_pairs({**pairs, **_flag_pairs(args)})
     # the fit windows default from the stored steps (0 for a lone step 0),
-    # not the manifest's
-    manifest.steps = len(grids) - 1
+    # not the manifest's; the last step is also the half width, as in a run
+    manifest.steps = len(windows) - 1
     out = Path(args.out) if args.out else Path(args.distributions).parent / "fits.json"
-    _fit_and_write(out, manifest, "refit", config, variance_series(grids, half_width), None,
-                   Distribution2D(grids[-1], half_width, manifest.steps))
+    _fit_and_write(out, manifest, "refit", config, window_variances(windows, manifest.steps),
+                   None, scatter_window(windows[-1], manifest.steps))
     print(f"fits written to {out}")
     return EXIT_OK
 

@@ -22,8 +22,8 @@ on the run's path builds a dense (N+1, 2N+1, 2N+1) grid stack: a result
 scatters one step onto a (2N + 1)^2 grid (distribution), and builds the
 whole stack only when asked for it (probabilities).  run_trajectory is
 add_trajectories' B = 1 call into zeroed windows, and exact_run collects
-its density matrix's windows.  exact_step_density runs the oracle's
-kernels on the full grid.
+its density matrix's windows; zero_windows also reads a CSV's rows back
+into them.  exact_step_density runs the oracle's kernels on the full grid.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Distribution2D, grid_stack, marginal_variances, zeroed_array
+from .analysis import Distribution2D, marginal_variances, zeroed_array
 from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
 from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
 from .state import (
@@ -126,16 +126,16 @@ class WalkResult:
     def probabilities(self) -> np.ndarray:
         """The dense (N + 1, L, L) stack of site grids, L = 2N + 1, built
         from the windows on each call."""
-        probs = grid_stack(len(self.windows), self.half_width)
-        for window, grid in zip(self.windows, probs):
-            scatter_window(window, grid)
+        size = 2 * self.half_width + 1
+        probs = zeroed_array((len(self.windows), size, size), "grid stack",
+                             f"{len(self.windows)} steps on |i|, |j| <= {self.half_width}")
+        for n, grid in enumerate(probs):
+            grid[...] = self.distribution(n).probs
         return probs
 
     def distribution(self, n: int) -> Distribution2D:
         """Step n's distribution, its window scattered onto an (L, L) grid."""
-        size = 2 * self.half_width + 1
-        return Distribution2D(scatter_window(self.windows[n], np.zeros((size, size))),
-                              self.half_width, n)
+        return scatter_window(self.windows[n], self.half_width)
 
     def distributions(self) -> list[Distribution2D]:
         """Every step's distribution, each a view of one probabilities stack."""
@@ -157,29 +157,31 @@ def _group_phases(samplers: list[PhaseSampler], start: int, n: int) -> PhaseMatr
     return PhaseMatrix(phases)
 
 
-def zero_windows(n_steps: int) -> list[np.ndarray]:
+def zero_windows(n_steps: int, rows=None) -> list[np.ndarray]:
     """Zeroed sublattice windows, one (n + 1, n + 1) grid per step n =
     0..n_steps, each a view of one buffer of sum_n (n + 1)^2 values: the
-    sum add_trajectories adds into.  A ConfigError naming the buffer's
-    size if it cannot be allocated."""
-    total = (n_steps + 1) * (n_steps + 2) * (2 * n_steps + 3) // 6
-    buffer = zeroed_array((total,), f"window buffer (sum of (n + 1)^2 over n = 0..{n_steps})",
+    sum add_trajectories adds into; a ConfigError names the buffer's size
+    if it cannot be allocated.  rows, columns (step, i, j, p) naming each
+    site once on its step's sublattice, set window[(i + step) / 2, (j + step) / 2] = p."""
+    start = lambda n: n * (n + 1) * (2 * n + 1) // 6  # sum_{m < n} (m + 1)^2
+    buffer = zeroed_array((start(n_steps + 1),),
+                          f"window buffer (sum of (n + 1)^2 over n = 0..{n_steps})",
                           f"{n_steps + 1} steps")
-    windows, lo = [], 0
-    for n in range(n_steps + 1):
-        windows.append(buffer[lo:lo + (n + 1) ** 2].reshape(n + 1, n + 1))
-        lo += (n + 1) ** 2
-    return windows
+    if rows is not None:
+        step, i, j, p = rows
+        buffer[start(step) + (i + step) // 2 * (step + 1) + (j + step) // 2] = p
+    return [buffer[start(n):start(n + 1)].reshape(n + 1, n + 1) for n in range(n_steps + 1)]
 
 
-def scatter_window(window: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Write step n's (n + 1, n + 1) sublattice window onto the sites
-    i = j = n (mod 2) of a zeroed centred (L, L) grid; returns grid.  The
-    other sites stay +0.0, as the dense sums of the same windows would
-    leave them."""
-    sites = sublattice_sites(len(window) - 1, grid.shape[0])
-    grid[sites, sites] = window
-    return grid
+def scatter_window(window: np.ndarray, half_width: int) -> Distribution2D:
+    """Step n's distribution: its (n + 1, n + 1) sublattice window written
+    onto the sites i = j = n (mod 2) of a zeroed centred (L, L) grid,
+    L = 2 half_width + 1.  The other sites stay +0.0, as the dense sums of
+    the same windows would leave them."""
+    n, size = len(window) - 1, 2 * half_width + 1
+    grid = np.zeros((size, size))
+    grid[sublattice_sites(n, size), sublattice_sites(n, size)] = window
+    return Distribution2D(grid, half_width, n)
 
 
 def _own_turn(n: int) -> contextlib.nullcontext:

@@ -8,7 +8,8 @@ formatting so identical runs produce byte-identical files.
 The distributions CSV is the largest artifact: a long walk's is written by
 up to `threads` processes, each formatting a contiguous range of steps with
 the same function (see forkwrite), so the bytes are those of a serial
-write.  It is also the one artifact read back (by `qwalk2d fit`).
+write.  It is also the one artifact read back (by `qwalk2d fit`), into a
+run's per-step sublattice windows, so a row must have i = j = step (mod 2).
 A file made of the bytes the writer emits is parsed by np.loadtxt, on up
 to `threads` processes, each parsing whole lines of a contiguous part of
 the file with the same call (see forkwrite), and checked once on the
@@ -34,9 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Distribution2D, grid_stack
+from .analysis import Distribution2D
 from .disorder import DisorderConfig
 from .errors import ConfigError, InvariantViolationError, check_unit_total
+from .evolve import scatter_window, zero_windows
 from .forkwrite import forked, write_ranges
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -362,11 +364,18 @@ def _parsed_columns(path, threads: int = 1):
             for status, out in helpers:
                 if status != 0:
                     return None
+                parts.append(out)
+            # each helper's records are read into their slice of one array; a
+            # short file leaves last's slice the wrong size, a ValueError
+            sizes = [os.fstat(out.fileno()).st_size for out in parts]
+            rows = np.empty(sum(sizes) // _CSV_ROW.itemsize + last.size, _CSV_ROW)
+            raw, lo = rows.view(np.uint8), 0
+            for out, size in zip(parts, sizes):
                 out.seek(0)
-                parts.append(np.fromfile(out, _CSV_ROW))
+                lo += out.readinto(raw[lo:lo + size])
+            raw[lo:] = last.view(np.uint8)
     except (ValueError, OSError):
         return None
-    rows = np.concatenate([*parts, last]) if parts else last
     if not rows.size:
         return None
     step, i, j, p = (rows[name] for name in _CSV_ROW.names)
@@ -374,6 +383,8 @@ def _parsed_columns(path, threads: int = 1):
         return None
     # steps are >= 0 from here on, so -step cannot overflow (np.abs can)
     if ((i < -step) | (i > step) | (j < -step) | (j > step)).any():
+        return None
+    if (((i ^ step) | (j ^ step)) & 1).any():  # off the step's sublattice
         return None
     # the writer emits rows in key order, which also rules out a repeated key
     if not _strictly_increasing(step, i, j):
@@ -458,6 +469,9 @@ def _checked_columns(path):
                         f"{path}: line {reader.line_num}: site ({i}, {j}) "
                         f"lies outside |i|, |j| <= step {step}"
                     )
+                if (i - step) % 2 or (j - step) % 2:
+                    raise ConfigError(f"{path}: line {reader.line_num}: site ({i}, {j}) "
+                                      f"lies off i = j = step (mod 2) for step {step}")
                 rows[key] = p
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
@@ -473,36 +487,32 @@ def _checked_columns(path):
     return (*keys.T, np.fromiter(rows.values(), float, len(rows)))
 
 
-def read_distribution_stack(path, threads: int = 1) -> tuple[np.ndarray, int]:
-    """The (steps, L, L) grid stack of a distributions CSV, and its half
-    width h (the largest |i| or |j|, at least 1; L = 2 h + 1).
+def read_distribution_windows(path, threads: int = 1) -> list[np.ndarray]:
+    """The per-step sublattice windows of a distributions CSV, laid out as
+    a run's (see evolve.zero_windows), from step 0 to the last.
 
-    Rows `step,i,j,p` follow the header `step,i,j,p`.  Blank lines are
-    skipped; there are no comments.  Steps must be contiguous from 0, each
-    (step, i, j) may appear once with |i|, |j| <= step, where a walk can
-    be, and no p may be negative.  A ConfigError names the file, and the
-    line of a bad row.  A valid file is parsed once at C speed, on up to
-    threads processes (_parsed_columns); only a file that fails there is
-    read again row by row, which words the error.
+    Rows `step,i,j,p` follow the header `step,i,j,p`; blank lines are
+    skipped.  Steps must run from 0 with none missing, each (step, i, j)
+    may appear once, where a walk can be: |i|, |j| <= step and i = j =
+    step (mod 2); no p may be negative.  A ConfigError names the file, and
+    the line of a bad row, which only the row-by-row reader words: the
+    file is parsed on up to threads processes first (_parsed_columns).
     """
-    columns = _parsed_columns(path, threads)
-    step, i, j, p = _checked_columns(path) if columns is None else columns
-    half_width = max(int(np.abs(i).max()), int(np.abs(j).max()), 1)
+    columns = _parsed_columns(path, threads) or _checked_columns(path)
     try:
-        grids = grid_stack(int(step.max()) + 1, half_width)
+        windows = zero_windows(int(columns[0].max()), columns)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    grids[step, i + half_width, j + half_width] = p
-    for n, grid in enumerate(grids):
-        check_unit_total(grid.sum(), f"{path}: distribution sum at step {n}")
-    return grids, half_width
+    for n, window in enumerate(windows):
+        check_unit_total(window.sum(), f"{path}: distribution sum at step {n}")
+    return windows
 
 
 def read_distribution_csv(path) -> list[Distribution2D]:
-    """The distributions of read_distribution_stack, one per step, each a
-    view of its stack."""
-    grids, half_width = read_distribution_stack(path)
-    return [Distribution2D(grid, half_width, n) for n, grid in enumerate(grids)]
+    """The distributions of read_distribution_windows, each on the grid of
+    half width the last step, as a run's."""
+    windows = read_distribution_windows(path)
+    return [scatter_window(window, len(windows) - 1) for window in windows]
 
 
 def write_variance_csv(variances, stderrs, path) -> None:

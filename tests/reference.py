@@ -6,8 +6,13 @@ pairs, evolved with plain Python loops.  It shares no code with the
 package, so agreement is meaningful.
 
 read_distribution_csv is the reader as it was before the package parsed
-the CSV at C speed, kept verbatim.  It uses the package's Distribution2D
-and error types only so that its results and messages compare directly.
+the CSV at C speed, kept verbatim but for the rules the package's reader
+took on when it began to read into sublattice windows: every site must
+lie on its step's sublattice, the grid's half width is the last step, and
+each step's total is summed over that step's sublattice sites, in the
+order the package's windows sum them.  It uses the package's
+Distribution2D and error types only so that its results and messages
+compare directly.
 write_distribution_csv is the writer as it was before it streamed each
 step's rows, formatting one row at a time; it is kept verbatim too.
 """
@@ -105,8 +110,8 @@ def ref_run(n_steps, phase_for_step=None):
 
 def read_distribution_csv(path) -> list[Distribution2D]:
     """Read distributions back; steps must be contiguous from 0, each
-    (step, i, j) may appear once with |i|, |j| <= step, where a walk can
-    be, and no p may be negative."""
+    (step, i, j) may appear once with |i|, |j| <= step and i = j = step
+    (mod 2), where a walk can be, and no p may be negative."""
     rows = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -137,6 +142,11 @@ def read_distribution_csv(path) -> list[Distribution2D]:
                         f"{path}: line {reader.line_num}: site ({i}, {j}) "
                         f"lies outside |i|, |j| <= step {step}"
                     )
+                if (i - step) % 2 != 0 or (j - step) % 2 != 0:
+                    raise ConfigError(
+                        f"{path}: line {reader.line_num}: site ({i}, {j}) "
+                        f"lies off i = j = step (mod 2) for step {step}"
+                    )
                 rows[key] = p
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
@@ -149,14 +159,16 @@ def read_distribution_csv(path) -> list[Distribution2D]:
     steps = np.unique(keys[:, 0])
     if not np.array_equal(steps, np.arange(len(steps))):
         raise ConfigError(f"{path}: steps are not contiguous from 0: {steps.tolist()}")
-    half_width = max(int(np.abs(keys[:, 1:]).max()), 1)
+    half_width = len(steps) - 1
     size = 2 * half_width + 1
     grids = np.zeros((len(steps), size, size))
     grids[keys[:, 0], keys[:, 1] + half_width, keys[:, 2] + half_width] = \
         np.fromiter(rows.values(), float, len(rows))
     dists = []
     for step in range(len(steps)):
-        check_unit_total(grids[step].sum(), f"{path}: distribution sum at step {step}")
+        sites = slice(half_width - step, half_width + step + 1, 2)
+        total = grids[step][sites, sites].copy().sum()  # a contiguous window's sum
+        check_unit_total(total, f"{path}: distribution sum at step {step}")
         dists.append(Distribution2D(grids[step], half_width, step))
     return dists
 

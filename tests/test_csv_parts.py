@@ -258,8 +258,9 @@ class TestParsedInParts:
             assert all(data[lo - 1:lo] == data[hi - 1:hi] == b"\n" for data, lo, hi in forks)
             assert [hi for _, _, hi in forks[:-1]] == [lo for _, lo, _ in forks[1:]]
             forks.clear()
-        want = io.read_distribution_stack(long_csv, 1)[0]
-        assert io.read_distribution_stack(long_csv, 3)[0].tobytes() == want.tobytes()
+        want = io.read_distribution_windows(long_csv, 1)
+        assert [w.tobytes() for w in io.read_distribution_windows(long_csv, 3)] == [
+            w.tobytes() for w in want]
         assert_no_child_left()
 
     # two parts from twice MIN_PARSE_BYTES of body, the bytes after the header
@@ -320,10 +321,10 @@ class TestFailedParse:
     @staticmethod
     def outcome(path, threads):
         try:
-            grids, half_width = io.read_distribution_stack(path, threads)
+            windows = io.read_distribution_windows(path, threads)
         except ConfigError as exc:
             return str(exc)
-        return grids.tobytes(), half_width
+        return [window.tobytes() for window in windows]
 
     # a valid file, and one whose steps 0 and 2 pass the parse but not the
     # row loop's contiguity check

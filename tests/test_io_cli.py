@@ -126,7 +126,7 @@ class TestDistributionCsv:
         assert len(back) == 2
         for want, got in zip(dists, back):
             assert got.step == want.step
-            # the reader sizes the grid to the data, here half width 1
+            # the reader sizes the grid to the last step, here half width 1
             np.testing.assert_array_equal(np.pad(got.probs, 2 - got.half_width), want.probs)
 
     def test_integer_grid_written_as_floats(self, tmp_path):
@@ -355,7 +355,7 @@ class TestCliRun:
         import qwalk2d.cli as cli_mod
 
         asked = []
-        read_stack = cli_mod.read_distribution_stack
+        read_windows = cli_mod.read_distribution_windows
 
         def recording(config, threads):
             asked.append(threads)
@@ -363,10 +363,10 @@ class TestCliRun:
 
         def reading(path, threads):
             asked.append(threads)
-            return read_stack(path, threads)
+            return read_windows(path, threads)
 
         monkeypatch.setattr(cli_mod, "run_ensemble", recording)
-        monkeypatch.setattr(cli_mod, "read_distribution_stack", reading)
+        monkeypatch.setattr(cli_mod, "read_distribution_windows", reading)
         if affinity is None:
             monkeypatch.delattr(cli_mod.os, "sched_getaffinity", raising=False)
         else:
@@ -394,8 +394,8 @@ class TestCliRun:
 
 
     @pytest.mark.parametrize("steps", [70_001, 2_000_001])
-    def test_grid_stack_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
-                                                                 steps):
+    def test_window_buffer_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
+                                                                    steps):
         # the run's mean is one buffer of sum_n (n + 1)^2 window values: at
         # 70,001 steps 9.1e14 bytes, more than the 128 TiB (2**47 bytes) user
         # address space of x86-64, and at 2,000,001 steps a byte count past
@@ -474,6 +474,37 @@ class TestCliFit:
         assert pairs(again) == pairs(original)
         assert again["fits"] == original["fits"]
 
+    def test_fit_builds_no_dense_stack(self, tmp_path, monkeypatch):
+        # an N=70 run's dense stack is 71 x 141 x 141 values; fit must take
+        # V(n) and the last grid from the windows without one, so the dense
+        # results raise and no np.zeros call may ask for that many values
+        import qwalk2d.evolve as evolve_mod
+        import qwalk2d.io as io_mod
+
+        out = tmp_path / "out"
+        assert main(["run", "--mode", "dynamical-spatial", "--zeta", "pi", "--steps", "70",
+                     "--realizations", "2", "--seed", "6", "--threads", "1",
+                     "--out-dir", str(out)]) == 0
+        dense, zeros = 71 * 141 * 141, np.zeros
+
+        def refused(*args):
+            raise AssertionError("fit built a dense stack")
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) < dense, f"fit allocated a {shape} array"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(evolve_mod.WalkResult, "probabilities", property(refused))
+        monkeypatch.setattr(evolve_mod.WalkResult, "distributions", refused)
+        monkeypatch.setattr(io_mod, "read_distribution_csv", refused)
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        assert main(["fit", str(out / "distributions.csv"), "--out",
+                     str(tmp_path / "refit.json")]) == 0
+        monkeypatch.undo()
+        pairs = lambda doc: [(e["n"], e["V"]) for e in doc["variance_series"]]
+        again = json.loads((tmp_path / "refit.json").read_text())
+        assert pairs(again) == pairs(json.loads((out / "result.json").read_text()))
+
     def test_fit_can_echo_config_from_manifest(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--mode", "none", "--zeta", "0", "--steps", "12",
@@ -517,9 +548,13 @@ class TestCliFitInput:
         ("0,0,0,0.5\n0,0,0,1.0", "repeats step 0, site (0, 0)"),
         ("0,0,0,1.0\n0,5,0,0.0", "site (5, 0) lies outside |i|, |j| <= step 0"),
         ("0,0,0,2.0\n0,5,0,-1.0", "negative"),
-    ], ids=["negative-p", "repeated-row", "outside-light-cone", "negative-p-outside"])
+        ("0,0,0,1.0\n1,1,0,1.0", "site (1, 0) lies off i = j = step (mod 2) for step 1"),
+        ('0,0,0,1.0\n1,1,0,"1.0"', "site (1, 0) lies off i = j = step (mod 2) for step 1"),
+    ], ids=["negative-p", "repeated-row", "outside-light-cone", "negative-p-outside",
+            "off-parity", "off-parity-row-by-row"])
     def test_invalid_row_is_config_error(self, tmp_path, capsys, rows, reason):
-        # each file sums to 1 per step, so only the row check can catch it
+        # each file sums to 1 per step, so only the row check can catch it;
+        # a quoted field sends the file straight to the row-by-row reader
         path = tmp_path / "d.csv"
         path.write_text(f"step,i,j,p\n{rows}\n")
         assert main(["fit", str(path)]) == 2
@@ -532,21 +567,24 @@ class TestCliFitInput:
         assert main(["fit", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_steps", [20_001, 700_001])
-    def test_grid_stack_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
-                                                                 n_steps):
-        # every row is valid, but the last one widens the grid to the last
-        # step: 20,001 steps need a 2.6e14-byte stack, more than the 128 TiB
-        # user address space of x86-64 and than any machine's memory; at
-        # 700,001 steps the byte count passes 2**63 and numpy refuses the shape
+    @pytest.mark.parametrize("n_steps", [70_001, 1_600_001])
+    def test_window_buffer_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
+                                                                    n_steps):
+        # every row is valid, one per step at site (s mod 2, s mod 2), but the
+        # window buffer of sum_n (n + 1)^2 values up to the last step cannot
+        # exist: at 70,001 steps 9.1e14 bytes, more than the 128 TiB (2**47
+        # bytes) user address space of x86-64, and at 1,600,001 steps a byte
+        # count past 2**63, where numpy refuses the shape.  (At 20,001 steps
+        # the buffer is 2.1e13 bytes, which overcommit could grant.)
         last = n_steps - 1
         path = tmp_path / "d.csv"
-        path.write_text("step,i,j,p\n" + "".join(f"{s},0,0,1.0\n" for s in range(last))
-                        + f"{last},{last},0,1.0\n")
+        path.write_text("step,i,j,p\n" + "".join(f"{s},{s % 2},{s % 2},1.0\n"
+                                                 for s in range(n_steps)))
         assert main(["fit", str(path)]) == 2
         err = capsys.readouterr().err
-        size = 2 * last + 1
-        assert str(path) in err and f"{n_steps} x {size} x {size} grid stack" in err
+        values = (last + 1) * (last + 2) * (2 * last + 3) // 6
+        assert (f"error: {path}: {n_steps} steps need a {values} window buffer "
+                f"(sum of (n + 1)^2 over n = 0..{last})") in err
         assert not (tmp_path / "fits.json").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -18,7 +18,7 @@ from qwalk2d import (
     DisorderMode,
 )
 from qwalk2d.disorder import PhaseMatrix, PhaseSampler
-from qwalk2d.evolve import DensityState, exact_step_density
+from qwalk2d.evolve import DensityState, exact_step_density, scatter_window
 from qwalk2d.state import (
     COIN_H,
     COIN_V,
@@ -39,7 +39,7 @@ from qwalk2d.io import (
     parse_manifest_text,
     parse_zeta,
     read_distribution_csv,
-    read_distribution_stack,
+    read_distribution_windows,
     write_distribution_csv,
 )
 from conftest import full_grid_step, random_state
@@ -356,8 +356,10 @@ class TestDistributionCsvReader:
     (reference.py): on any file, both return the same grids and half widths,
     or raise the same error with the same message.  Read in three parts of
     at least one byte each, so that cuts land on blank lines, CRLF endings,
-    bad rows and parts with no rows, read_distribution_stack gives the
-    outcome of both."""
+    bad rows and parts with no rows, read_distribution_windows gives the
+    outcome of both.  The files are written from distributions on the
+    parity sublattice, as a walk's are, so the writer's output takes the
+    fast path."""
 
     @pytest.fixture(scope="class")
     def csv_path(self, tmp_path_factory):
@@ -373,8 +375,8 @@ class TestDistributionCsvReader:
 
     @staticmethod
     def read_in_parts(path):
-        grids, half_width = read_distribution_stack(path, 3)
-        return [Distribution2D(grid, half_width, n) for n, grid in enumerate(grids)]
+        windows = read_distribution_windows(path, 3)
+        return [scatter_window(window, len(windows) - 1) for window in windows]
 
     @settings(deadline=None, max_examples=500)
     @given(seed=seeds, n_steps=st.integers(0, 3), data=st.data())
@@ -397,8 +399,9 @@ class TestDistributionCsvReader:
         for n in range(n_steps + 1):
             probs = np.zeros((size, size))
             lo, hi = n_steps - n, n_steps + n + 1
-            probs[lo:hi, lo:hi] = rng.random((2 * n + 1, 2 * n + 1)) ** 4
-            probs[n_steps, n_steps] += 0.01  # never empty
+            # the sites i = j = n (mod 2) of the light cone, where a walk can be
+            probs[lo:hi:2, lo:hi:2] = rng.random((n + 1, n + 1)) ** 4
+            probs[lo, lo] += 0.01  # never empty
             dists.append(Distribution2D(probs / probs.sum(), n_steps, n))
         write_distribution_csv(dists, csv_path)
         assert _parsed_columns(csv_path) is not None  # the writer's output takes the fast path
