@@ -23,20 +23,21 @@ hold sums of their own.  The chunks write their rows into the run's
 (R, N+1) variance array.
 
 A run's threads are processes across chunks and threads (lanes) across a
-chunk's groups.  Each group counts the steps it has added, and adds its
-step-n windows only once the group before it has added step n, so the
-lane count changes no bit either, and a waiting group holds only its own
-state.  A group that stops, having finished or failed, counts as having
+chunk's groups: a process pool, whose module loads only when a run starts
+one, and plain threads, joined before their chunk returns.  Each group
+counts the steps it has added, and adds its step-n windows only once the
+group before it has added step n, so the lane count changes no bit
+either, and a waiting group holds only its own state.  A group that stops, having finished or failed, counts as having
 added every step, so it releases the groups after it.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import functools
 import numbers
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -86,19 +87,20 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
     bit depends on the width.  The sums are window_sums, which must be
     zeroed, or new zeroed windows when it is None.
 
-    The groups run on min(lanes, groups) lanes, this thread and a pool
-    thread for each other lane; they take the groups in order.  added[g]
-    counts the steps group g has added, and group g's turn at step n waits
-    until added[g - 1] > n, so every site gets its additions in trajectory
-    order and no bit depends on the lane count either.  With one lane the
-    group before has always finished, so no turn waits.  This thread walks
-    too because the memory its groups free stays with its allocator for the
-    run's later stages: walked by pool threads alone, a run's peak RSS rose
-    by about 2 MB at N = 100.  A group that stops, by finishing or by an
-    exception, counts as having added every step, so a failed group
-    releases the groups after it.  No lane takes a group after a failure,
-    and the first group to fail, in group order, raises its own error, as
-    a serial run would.
+    The groups run on min(lanes, groups) lanes, this thread and a helper
+    thread for each other lane, all joined before the chunk returns; they
+    take the groups in order.  added[g] counts the steps group g has added,
+    and group g's turn at step n waits until added[g - 1] > n, so every
+    site gets its additions in trajectory order and no bit depends on the
+    lane count either.  With one lane the group before has always
+    finished, so no turn waits.  This thread walks too because the memory
+    its groups free stays with its allocator for the run's later stages:
+    walked by helper threads alone, a run's peak RSS rose by about 2 MB at
+    N = 100.  A group that stops, by finishing or by any exception,
+    BaseException included, counts as having added every step, so a failed
+    group releases the groups after it.  No lane takes a group after a
+    failure, and the first group to fail, in group order, raises its own
+    error in this thread, as a serial run would.
     """
     config, start, stop, lanes = args
     if window_sums is None:
@@ -109,7 +111,7 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
     added = [0] * len(groups)
     changed = threading.Condition()  # guards added and the group order
     order = iter(range(len(groups)))
-    failed: dict[int, Exception] = {}
+    failed: dict[int, BaseException] = {}
 
     def set_added(g: int, count: int) -> None:
         with changed:
@@ -133,20 +135,17 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
             try:
                 add_trajectories(config, lo, hi, window_sums, var_rows[lo - start:hi - start],
                                  functools.partial(turn, g))
-            except Exception as exc:
+            except BaseException as exc:  # raised again in the chunk's own thread
                 failed[g] = exc
             finally:
                 set_added(g, config.steps + 1)
 
-    lanes = min(lanes, len(groups))
-    if lanes == 1:
-        lane()
-    else:
-        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
-            helpers = [pool.submit(lane) for _ in range(lanes - 1)]
-            lane()
-        for helper in helpers:
-            helper.result()
+    helpers = [threading.Thread(target=lane) for _ in range(min(lanes, len(groups)) - 1)]
+    for helper in helpers:
+        helper.start()
+    lane()
+    for helper in helpers:
+        helper.join()
     if failed:
         raise failed[min(failed)]
     return start, window_sums, var_rows
@@ -188,7 +187,7 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
         chunks = map(_run_chunk, chunk_args, chain([mean], repeat(None)))
         _sum_chunks(chunks, mean, per_traj_var, traj_start)
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             _sum_chunks(pool.map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
     for window in mean:
         window /= stop - traj_start

@@ -184,14 +184,9 @@ def scatter_window(window: np.ndarray, half_width: int) -> Distribution2D:
     return Distribution2D(grid, half_width, n)
 
 
-def _own_turn(n: int) -> contextlib.nullcontext:
-    """The turn of a group that shares its window sums with no other."""
-    return contextlib.nullcontext()
-
-
 def add_trajectories(config: DisorderConfig, start: int, stop: int,
                      window_sums: list[np.ndarray], var_rows: np.ndarray,
-                     turn=_own_turn) -> None:
+                     turn=contextlib.nullcontext) -> None:
     """Run trajectories start..stop-1: add their step-n probability windows
     into window_sums[n], of shape (n + 1, n + 1) (see zero_windows), and
     write trajectory start + b's variance series into var_rows[b].
@@ -199,7 +194,8 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
     Each step's additions run inside `with turn(n):`.  Groups that share
     window_sums from several threads pass a turn that waits until the
     groups before this one have added their step-n windows, and passes
-    the turn on afterwards; alone, a group owns every turn.
+    the turn on afterwards; alone, a group owns every turn, and the
+    default, contextlib.nullcontext, waits for nothing.
 
     The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
     sublattice stack, each with its own PhaseSampler.  Each step's windows

@@ -9,10 +9,11 @@ users differ only in what they do with a file:
   first contiguous range of items itself, one item at a time; each later
   range is written, one item at a time, by a helper into an unlinked
   temporary file in the file's directory, and this process then appends
-  the helpers' files in range order, in the kernel by os.copy_file_range
-  where it can.  Every process renders with the same function, so the
-  bytes do not depend on the number of ranges, and no process holds more
-  than one item's text.  A helper that fails is an OSError naming the file.
+  the helpers' files in range order through the file's own buffer, at
+  most _COPY_BYTES at a time.  Every process renders with the same
+  function, so the bytes do not depend on the number of ranges, and no
+  process holds more than one item's text.  A helper that fails is an
+  OSError naming the file.
 - io's distributions CSV reader parses every part of a file but the
   last in a helper, which leaves the parsed records in a temporary file
   in the system's default directory, and reads them back in part order.
@@ -27,33 +28,35 @@ killed; either way every helper is reaped and every temporary file closed.
 from __future__ import annotations
 
 import contextlib
-import errno
 import os
+import shutil
 import signal
 import tempfile
 from functools import partial
 from pathlib import Path
 
-# the most bytes one read or one copy call moves when a helper's file is
-# appended (_append)
+# the most bytes one read moves when a helper's file is appended, so
+# appending a file holds at most this much of it
 _COPY_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
 def forked(jobs, directory=None):
-    """Fork a helper for each of jobs, which runs job(fd) with fd an
-    unlinked temporary file in directory (None: the system's default),
+    """Fork a helper for each of the list jobs, which runs job(fd) with fd
+    an unlinked temporary file in directory (None: the system's default),
     and yield an iterator over the helpers in job order.  Each step of it
     waits for the next helper to exit and gives that helper's wait status
     (0 when its job returned) and its temporary file (see the module
-    docstring for the rules every helper keeps)."""
+    docstring for the rules every helper keeps).  Each job leaves the list
+    as its helper starts, so once they have all started neither this
+    function nor the caller's list holds a job's inputs."""
     running = set()  # helpers not yet reaped
     with contextlib.ExitStack() as files:
         try:
             helpers = []
-            for job in jobs:
+            while jobs:
                 out = files.enter_context(tempfile.TemporaryFile(dir=directory))
-                pid = _fork(job, out.fileno())
+                pid = _fork(jobs.pop(0), out.fileno())
                 running.add(pid)
                 helpers.append((pid, out))
             yield _exits(helpers, running)
@@ -95,12 +98,13 @@ def write_ranges(handle, items, bounds, render) -> None:
     with forked(jobs, Path(handle.name).parent) as helpers:
         for item in items[:bounds[1]]:
             handle.write(render(item))
-        handle.flush()
+        handle.flush()  # the text layer's pending rows go before the helpers' bytes
         for (lo, hi), (status, part) in zip(ranges, helpers):
             if status != 0:
                 raise OSError(f"{handle.name}: the process writing items {lo} to {hi - 1} "
                               f"failed (wait status {status})")
-            _append(part.fileno(), handle.fileno())
+            part.seek(0)  # the helper's writes moved the offset it shares with part
+            shutil.copyfileobj(part, handle.buffer, _COPY_BYTES)
 
 
 def _write_items(items, render, fd: int) -> None:
@@ -108,23 +112,3 @@ def _write_items(items, render, fd: int) -> None:
     with open(fd, "w", closefd=False) as out:
         for item in items:
             out.write(render(item))
-
-
-def _append(src: int, dst: int) -> None:
-    """Append all of file src at dst's position: in the kernel by
-    os.copy_file_range where the platform and file system have it, else
-    by reads and writes of at most _COPY_BYTES."""
-    offset = 0
-    if hasattr(os, "copy_file_range"):
-        try:
-            while copied := os.copy_file_range(src, dst, _COPY_BYTES, offset):
-                offset += copied
-            return
-        except OSError as exc:
-            if exc.errno not in (errno.ENOSYS, errno.EXDEV, errno.EINVAL, errno.EOPNOTSUPP):
-                raise
-    while chunk := os.pread(src, _COPY_BYTES, offset):
-        offset += len(chunk)
-        view = memoryview(chunk)
-        while view:
-            view = view[os.write(dst, view):]

@@ -360,6 +360,9 @@ def _parsed_columns(path, threads: int = 1):
     try:
         with forked(jobs) as helpers:
             last = _part_rows(data, cuts[-2], cuts[-1])
+            # the helpers have their own copies and forked has taken the jobs, so
+            # this frees the file's bytes before the join
+            del data
             parts = []
             for status, out in helpers:
                 if status != 0:

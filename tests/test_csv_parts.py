@@ -2,7 +2,6 @@
 bytes and the same columns for any part count, and no child process or
 temporary file left behind when a part fails."""
 
-import errno
 import math
 import os
 import time
@@ -139,18 +138,9 @@ class TestSameBytes:
         assert forks == []
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
-    @pytest.mark.parametrize("copy_file_range", ["missing", "unsupported"])
-    def test_appended_in_bounded_chunks_without_copy_file_range(self, tmp_path, forks,
-                                                                monkeypatch, copy_file_range):
+    def test_appended_in_bounded_chunks(self, tmp_path, forks, monkeypatch):
         windows = windows_of(DisorderMode.DYNAMICAL_SPATIAL)
         io.write_window_csv(windows, tmp_path / "serial.csv")
-        if copy_file_range == "missing":
-            monkeypatch.delattr(os, "copy_file_range", raising=False)
-        else:
-            def unsupported(*args):
-                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
-
-            monkeypatch.setattr(os, "copy_file_range", unsupported, raising=False)
         monkeypatch.setattr(forkwrite, "_COPY_BYTES", 7)
         io.write_window_csv(windows, tmp_path / "d.csv", 3)
         assert len(forks) == 2

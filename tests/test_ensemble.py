@@ -1,7 +1,7 @@
+import concurrent.futures
 import math
 import threading
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -124,6 +124,33 @@ class TestRunEnsemble:
         assert not lanes.is_alive(), "a lane is still waiting for its turn"
         assert [type(exc) for exc in raised] == [TrajectoryFailure]
         assert str(raised[0]) == str(serial.value)
+
+    # N=60, R=32: one chunk of four groups on two lanes.  The group this
+    # thread runs first waits until the helper lane's group has raised, so
+    # the helper runs a group however the threads are scheduled
+    def test_base_exception_in_a_helper_lane_is_raised(self, monkeypatch):
+        class Abort(BaseException):
+            pass
+
+        caller, add = threading.current_thread(), ensemble.add_trajectories
+        helper_raised = threading.Event()
+
+        def add_trajectories(*args):
+            if threading.current_thread() is not caller:
+                helper_raised.set()
+                raise Abort("from a helper lane")
+            assert helper_raised.wait(60)
+            add(*args)
+
+        monkeypatch.setattr(ensemble, "add_trajectories", add_trajectories)
+        with pytest.raises(Abort, match="from a helper lane"):
+            run_ensemble(config(steps=60, realizations=32), threads=2)
+
+    # the CSV writer forks once the run is done, so no lane may still run
+    def test_no_lane_outlives_its_chunk(self):
+        before = threading.active_count()
+        run_ensemble(config(steps=60, realizations=32), threads=3)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_average_rejected(self, bad):
@@ -295,40 +322,46 @@ class TestParallelDeterminism:
     # chunk of R=70 (6 trajectories) one, so lanes never outnumber groups.
     # A chunk's calling thread is one of its lanes, so 4 lanes start 3 threads
     @pytest.mark.parametrize("steps,realizations,pools,helpers",
-                             [(4, 64, [2], []), (4, 32, [], []),
-                              (60, 32, [], [3]), (60, 70, [3], [3, 3])],
+                             [(4, 64, [2], 0), (4, 32, [], 0),
+                              (60, 32, [], 3), (60, 70, [3], 6)],
                              ids=["two-chunks", "one-chunk", "one-chunk-lanes",
                                   "three-chunks-lanes"])
     def test_worker_count_follows_the_chunks(self, monkeypatch, steps, realizations, pools,
                                              helpers):
-        made = {"processes": [], "threads": []}
+        made = {"processes": [], "threads": 0}
 
-        def in_process(kind):
-            class Pool:
-                """Records the pool size it is asked for and runs each task
-                in-process, in order, so it starts no process or thread."""
+        class Pool:
+            """Records the pool size it is asked for and runs each task
+            in-process, in order, so it starts no process."""
 
-                def __init__(self, max_workers):
-                    made[kind].append(max_workers)
+            def __init__(self, max_workers):
+                made["processes"].append(max_workers)
 
-                def __enter__(self):
-                    return self
+            def __enter__(self):
+                return self
 
-                def __exit__(self, *exc):
-                    return False
+            def __exit__(self, *exc):
+                return False
 
-                def map(self, fn, items):
-                    return map(fn, items)
+            def map(self, fn, items):
+                return map(fn, items)
 
-                def submit(self, fn):
-                    done = Future()
-                    done.set_result(fn())
-                    return done
+        class Thread:
+            """Counts the threads started and runs each target in the
+            starting thread, so it starts no thread."""
 
-            return Pool
+            def __init__(self, target):
+                self.target = target
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", in_process("processes"))
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", in_process("threads"))
+            def start(self):
+                made["threads"] += 1
+                self.target()
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(threading, "Thread", Thread)
         cfg = config(steps=steps, realizations=realizations)
         result = run_ensemble(cfg, threads=1000)
         assert made == {"processes": pools, "threads": helpers}
@@ -349,8 +382,9 @@ class TestParallelDeterminism:
                 raise AssertionError(f"{what} reached before the argument check")
             return fake
 
-        for what in ("ProcessPoolExecutor", "ThreadPoolExecutor", "zero_windows", "zeroed_array"):
-            monkeypatch.setattr(ensemble, what, refuse(what))
+        for module, what in ((concurrent.futures, "ProcessPoolExecutor"), (threading, "Thread"),
+                             (ensemble, "zero_windows"), (ensemble, "zeroed_array")):
+            monkeypatch.setattr(module, what, refuse(what))
         with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
             run_ensemble(config(realizations=4), **{name: value})
         assert made == []

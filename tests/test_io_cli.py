@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwalk2d
 from qwalk2d import (
     DisorderConfig,
     DisorderMode,
@@ -725,6 +729,18 @@ class TestCliSettings:
                      "--threads", "1", "--out-dir", str(out)]) == 0
         assert json.loads((out / "result.json").read_text())["engine"] == engine
         assert f"engine = {engine}\n" in (out / "manifest.cfg").read_text()
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter, as a CLI start has; the pool's module loads only
+    # when a run starts the pool
+    package_root = Path(qwalk2d.__file__).parent.parent
+    code = ("import sys, qwalk2d.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 class TestCliExitCodes:
