@@ -57,6 +57,8 @@ class DisorderConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.zeta, bool) or not isinstance(self.zeta, numbers.Real):
+            raise ConfigError(f"zeta must be a real number, got {self.zeta!r}")
         if not (0.0 <= self.zeta <= math.pi):
             raise ConfigError(f"zeta must lie in [0, pi], got {self.zeta!r}")
         if self.steps < 1:

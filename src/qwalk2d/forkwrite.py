@@ -14,10 +14,11 @@ users differ only in what they do with a file:
   function, so the bytes do not depend on the number of ranges, and no
   process holds more than one item's text.  A helper that fails is an
   OSError naming the file.
-- io's distributions CSV reader parses every part of a file but the
-  last in a helper, which leaves the parsed records in a temporary file
-  in the system's default directory, and reads them back in part order.
-  A helper that fails sends the caller to its row-by-row reader.
+- io's distributions CSV reader parses the first contiguous range of a
+  file's lines itself; each later range is parsed, from the file's path,
+  by a helper, which leaves the parsed records in a temporary file in the
+  system's default directory, and the reader reads them back in range
+  order.  A helper that fails sends the caller to its row-by-row reader.
 
 A helper touches only its own temporary file and always leaves through
 os._exit: 0 once its job returns, 1 on any exception.  When the caller
@@ -42,21 +43,19 @@ _COPY_BYTES = 1 << 20
 
 @contextlib.contextmanager
 def forked(jobs, directory=None):
-    """Fork a helper for each of the list jobs, which runs job(fd) with fd
-    an unlinked temporary file in directory (None: the system's default),
-    and yield an iterator over the helpers in job order.  Each step of it
-    waits for the next helper to exit and gives that helper's wait status
-    (0 when its job returned) and its temporary file (see the module
-    docstring for the rules every helper keeps).  Each job leaves the list
-    as its helper starts, so once they have all started neither this
-    function nor the caller's list holds a job's inputs."""
+    """Fork a helper for each of jobs, which runs job(fd) with fd an
+    unlinked temporary file in directory (None: the system's default), and
+    yield an iterator over the helpers in job order.  Each step of it waits
+    for the next helper to exit and gives that helper's wait status (0 when
+    its job returned) and its temporary file (see the module docstring for
+    the rules every helper keeps)."""
     running = set()  # helpers not yet reaped
     with contextlib.ExitStack() as files:
         try:
             helpers = []
-            while jobs:
+            for job in jobs:
                 out = files.enter_context(tempfile.TemporaryFile(dir=directory))
-                pid = _fork(jobs.pop(0), out.fileno())
+                pid = _fork(job, out.fileno())
                 running.add(pid)
                 helpers.append((pid, out))
             yield _exits(helpers, running)

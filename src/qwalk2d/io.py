@@ -10,13 +10,14 @@ up to `threads` processes, each formatting a contiguous range of steps with
 the same function (see forkwrite), so the bytes are those of a serial
 write.  It is also the one artifact read back (by `qwalk2d fit`), into a
 run's per-step sublattice windows, so a row must have i = j = step (mod 2).
-A file made of the bytes the writer emits is parsed by np.loadtxt, on up
-to `threads` processes, each parsing whole lines of a contiguous part of
-the file with the same call (see forkwrite), and checked once on the
-joined columns; any other file, and any file that fails a check or a
-parsing process, is read again by the row-by-row parser, which alone words
-a bad row's error.  So both paths accept the same files, with the same
-values, and reject the same files with the same messages.
+A file made of the lines the writer emits is parsed by np.loadtxt from its
+path, on up to `threads` processes, each parsing a contiguous range of
+its lines with the same call (see forkwrite), and checked once on the
+joined columns; any other file (one with a CR or an empty line, say),
+any file that fails a check or a parsing process, and any file that
+changes during the parse, is read again by the row-by-row parser, which
+alone words a bad row's error.  So both paths accept the same files,
+with the same values, and reject the same files with the same messages.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import re
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from io import BytesIO
 from itertools import chain
 from pathlib import Path
 
@@ -238,12 +238,17 @@ def write_manifest(manifest: RunManifest, path) -> None:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "step,i,j,p"
-# the fewest rows (counted as grid sizes) worth a CSV-writing process of
-# their own: below 2 * MIN_PART_ROWS one process writes the file.  Forked
+# the fewest rows worth a process of their own, to write or to parse: below
+# 2 * MIN_PART_ROWS one process handles the file (see _part_count).  Forked
 # in two, the window CSV of a dynamical-spatial walk was written slower at
 # N = 20 (3,311 rows: 9.2 against 7.7-8.1 ms serial), about as fast at
 # N = 25 (6,201 rows) and faster from N = 30 (10,416 rows: 17.4-17.9
-# against 22.7-23.6 ms, in 22-24 of 25 alternated samples) on a 2-vCPU VM
+# against 22.7-23.6 ms, in 22-24 of 25 alternated samples).  Parsed from
+# its path in two parts, it was faster at N = 30 in 3-11 of 30 alternated
+# samples (four sets), at N = 35 (16,206 rows) in 3-24, at N = 40 (23,821
+# rows) in 11-30 and at N = 50 (45,526 rows) in 19-30, so the two-part cut
+# at 20,000 rows lies where the parts come out even.  All measured on a
+# 2-vCPU VM whose second vCPU other work may hold
 MIN_PART_ROWS = 10_000
 
 
@@ -284,15 +289,22 @@ def _write_grids(grids, path, threads: int) -> None:
         write_ranges(handle, grids, bounds, _step_rows)
 
 
+def _part_count(rows: int, threads: int) -> int:
+    """How many processes write or parse a file of rows rows, given up to
+    threads: min(threads, rows // MIN_PART_ROWS), at least 1, and 1 where
+    os.fork is missing."""
+    return max(1, min(threads, rows // MIN_PART_ROWS)) if hasattr(os, "fork") else 1
+
+
 def _range_bounds(grids, threads: int) -> list[int]:
-    """0, the first step of each later range and the step count, for up to
-    min(threads, rows // MIN_PART_ROWS) contiguous ranges of about equal
-    row count, or one range where os.fork is missing.  Rows are counted as
-    grid sizes, (n + 1)^2 at window step n: an upper bound where zero
-    sites are omitted.  Empty ranges are dropped, so there may be fewer."""
+    """0, the first step of each later range and the step count, for
+    _part_count contiguous ranges of about equal row count.  Rows are
+    counted as grid sizes, (n + 1)^2 at window step n: an upper bound
+    where zero sites are omitted.  Empty ranges are dropped, so there may
+    be fewer."""
     ends = np.cumsum([grid.size for _, grid, _, _ in grids])  # rows of steps 0..n
     total = int(ends[-1]) if len(grids) else 0
-    parts = min(threads, total // MIN_PART_ROWS) if hasattr(os, "fork") else 1
+    parts = _part_count(total, threads)
     cuts = np.searchsorted(ends, total * np.arange(1, parts) / parts, side="right")
     return [0, *sorted(set(cuts.tolist()) - {0, len(grids)}), len(grids)]
 
@@ -314,72 +326,59 @@ def _step_rows(entry) -> str:
 
 _CSV_ROW = np.dtype([("step", "i8"), ("i", "i8"), ("j", "i8"), ("p", "f8")])
 # the bytes of a file body the fast path parses: everything the writer emits,
-# plus spaces, tabs and CRLF.  np.loadtxt reads some other bytes where int()
-# and float() do not (\x1c-\x1f as spaces, and non-ASCII bytes as latin-1
-# even where they are not valid text), so a file holding any other byte is
-# read row by row.
-_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
+# plus spaces and tabs.  np.loadtxt reads some other bytes where int() and
+# float() do not (\x1c-\x1f as spaces, and non-ASCII bytes as latin-1 even
+# where they are not valid text), and a path's text mode ends a line at a
+# lone CR, so a file holding any other byte is read row by row.
+_FAST_BYTES = b"0123456789+-.eE, \t\n"
 # what is left of a file with the header and a body of _FAST_BYTES when the
 # _FAST_BYTES are taken out: the header's letters
 _HEADER_LETTERS = _CSV_HEADER.encode().translate(None, _FAST_BYTES)
-# lines np.loadtxt skips as blank: empty, or a lone carriage return
-_BLANK_LINES = re.compile(rb"(?:\r?\n)*\r?")
-# the fewest body bytes (the bytes after the header) worth a parsing process
-# of their own: below 2 * MIN_PARSE_BYTES one process parses the file.
-# Parsed in two, a dynamical-spatial walk's CSV (about 31 bytes a row) was
-# read slower at N = 30 (324 kB: faster in 2 of 30 alternated samples),
-# about as fast at N = 35 (507 kB: 17 of 30) and faster from N = 40
-# (748 kB: 23 of 30; 2.4 MB at N = 60: 28 of 30) on a 2-vCPU VM, and
-# slower up to N = 60 in sets where the second vCPU was held by other work.
-# 640 kB is about the writer's 2 * MIN_PART_ROWS rows, counted without a
-# pass over the file
-MIN_PARSE_BYTES = 320_000
+# np.loadtxt opens a str path through numpy's DataSource, which reads a file
+# whose name ends in one of these as compressed, so such a file is read row
+# by row.  DataSource also takes a relative path that parses as a URL (such
+# as x://host/d.csv) for a remote file, which an absolute path never does.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parsed_columns(path, threads: int = 1):
     """The step, i, j and p columns of a file that _checked_columns would
     accept and whose rows are in the writer's (step, i, j) order, parsed at
     C speed in up to threads processes and checked on whole arrays; None
-    when the header, a byte, the parser, a parsing process, the order or
-    any check fails.  It words no error: the caller then runs
-    _checked_columns, which does.
+    when the file (_body_lines), the parser, a parsing process, the order
+    or any check fails, or when the file changes during the parse
+    (_stamp).  It words no error: the caller then runs _checked_columns,
+    which does.
 
-    The body is cut into parts just after line breaks (_part_cuts), so
-    every line falls whole into one part.  A forked helper parses each
-    part but the last with _part_rows, as this process parses the last,
-    and hands back the raw records (see forkwrite); this process joins
-    the parts in order and checks the whole columns once.
+    The body's lines are cut into _part_count contiguous ranges of about
+    equal length.  This process parses the first range with _part_rows,
+    as a forked helper parses each later one, and reads each helper's
+    records (see forkwrite) straight into their slice of one array; the
+    whole columns are then checked once.
     """
-    data = Path(path).read_bytes()
-    start = data.find(b"\n") + 1
-    if (not start or data[:start - 1].rstrip(b"\r") != _CSV_HEADER.encode()
-            or data.translate(None, _FAST_BYTES) != _HEADER_LETTERS):
+    stamp = _stamp(path)
+    lines = _body_lines(path)
+    if not lines:
         return None
-    cuts = _part_cuts(data, start, threads)
-    jobs = [partial(_write_part_rows, data, lo, hi) for lo, hi in zip(cuts, cuts[1:-1])]
+    parts = _part_count(lines, threads)
+    bounds = [lines * k // parts for k in range(parts + 1)]
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    jobs = [partial(_write_part_rows, path, lo, hi) for lo, hi in ranges]
     try:
+        # a file of many short lines that are not rows may ask for more
+        # than can be allocated, a MemoryError
+        rows = np.empty(lines, _CSV_ROW)
+        raw, size = rows.view(np.uint8), _CSV_ROW.itemsize
         with forked(jobs) as helpers:
-            last = _part_rows(data, cuts[-2], cuts[-1])
-            # the helpers have their own copies and forked has taken the jobs, so
-            # this frees the file's bytes before the join
-            del data
-            parts = []
-            for status, out in helpers:
-                if status != 0:
-                    return None
-                parts.append(out)
-            # each helper's records are read into their slice of one array; a
-            # short file leaves last's slice the wrong size, a ValueError
-            sizes = [os.fstat(out.fileno()).st_size for out in parts]
-            rows = np.empty(sum(sizes) // _CSV_ROW.itemsize + last.size, _CSV_ROW)
-            raw, lo = rows.view(np.uint8), 0
-            for out, size in zip(parts, sizes):
+            # a short part is the wrong size for its slice, a ValueError
+            raw[:bounds[1] * size] = _part_rows(path, 0, bounds[1]).view(np.uint8)
+            for (lo, hi), (status, out) in zip(ranges, helpers):
                 out.seek(0)
-                lo += out.readinto(raw[lo:lo + size])
-            raw[lo:] = last.view(np.uint8)
-    except (ValueError, OSError):
-        return None
-    if not rows.size:
+                if status != 0 or out.readinto(raw[lo * size:hi * size]) != (hi - lo) * size:
+                    return None
+        if _stamp(path) != stamp:
+            return None
+    except (ValueError, OSError, MemoryError):
         return None
     step, i, j, p = (rows[name] for name in _CSV_ROW.names)
     if step.min() != 0 or (p < 0).any():
@@ -397,37 +396,42 @@ def _parsed_columns(path, threads: int = 1):
     return step, i, j, p
 
 
-def _part_cuts(data: bytes, start: int, threads: int) -> list[int]:
-    """start, the first byte of each later part and len(data), for up to
-    min(threads, body bytes // MIN_PARSE_BYTES) parts of about equal size
-    of the body data[start:], or one part where os.fork is missing.  Each
-    later part starts just after the first line break at or after its
-    share of the body, so a part may be empty."""
-    size = len(data) - start
-    parts = min(threads, size // MIN_PARSE_BYTES) if hasattr(os, "fork") else 1
-    return [start, *(data.find(b"\n", start + k * size // parts) + 1 or len(data)
-                     for k in range(1, parts)), len(data)]
+def _stamp(path) -> tuple[int, int, int, int]:
+    """The size, mtime, inode and ctime of the file at path: a file moved
+    into place keeps its mtime but not its inode, and utime sets no ctime."""
+    stat = os.stat(path)
+    return stat.st_size, stat.st_mtime_ns, stat.st_ino, stat.st_ctime_ns
 
 
-def _part_rows(data: bytes, lo: int, hi: int) -> np.ndarray:
-    """The records np.loadtxt parses from the lines data[lo:hi]; none,
-    without loadtxt's empty-input warning, where every line is blank.
-    The last part is read in place, as a BytesIO shares the buffer of the
-    bytes it is made from; any other part is copied out first."""
-    if _BLANK_LINES.fullmatch(data, lo, hi):
-        return np.empty(0, _CSV_ROW)
-    if hi < len(data):
-        data, lo = data[lo:hi], 0
-    stream = BytesIO(data)
-    stream.seek(lo)
-    return np.loadtxt(stream, delimiter=",", comments=None, quotechar=None, ndmin=1,
-                      dtype=_CSV_ROW)
+def _body_lines(path) -> int | None:
+    """The number of lines after the header of the file at path, when
+    np.loadtxt, reading the file from its path, parses the lines that
+    _checked_columns reads: the header line is `step,i,j,p`, every byte
+    after it is one of _FAST_BYTES, no line is empty and the last one
+    ends in a line break (max_rows counts no empty line, while skiprows
+    does), and the file's name has none of _COMPRESSED_SUFFIXES.  None
+    for any other file."""
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        return None
+    data = Path(path).read_bytes()
+    if (not data.startswith(_CSV_HEADER.encode() + b"\n") or not data.endswith(b"\n")
+            or b"\n\n" in data or data.translate(None, _FAST_BYTES) != _HEADER_LETTERS):
+        return None
+    return data.count(b"\n") - 1
 
 
-def _write_part_rows(data: bytes, lo: int, hi: int, fd: int) -> None:
-    """Write the raw records of _part_rows(data, lo, hi) to the file descriptor fd."""
+def _part_rows(path, lo: int, hi: int) -> np.ndarray:
+    """The records np.loadtxt parses from the lines lo to hi - 1 after the
+    header of the file at path, named by its absolute path (see
+    _COMPRESSED_SUFFIXES)."""
+    return np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, quotechar=None, ndmin=1,
+                      dtype=_CSV_ROW, skiprows=1 + lo, max_rows=hi - lo, encoding="ascii")
+
+
+def _write_part_rows(path, lo: int, hi: int, fd: int) -> None:
+    """Write the raw records of _part_rows(path, lo, hi) to the file descriptor fd."""
     with open(fd, "wb", closefd=False) as out:
-        out.write(_part_rows(data, lo, hi).data)
+        out.write(_part_rows(path, lo, hi).data)
 
 
 def _strictly_increasing(s, u, v) -> bool:
@@ -478,6 +482,8 @@ def _checked_columns(path):
                 rows[key] = p
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+        except csv.Error as exc:  # a field past csv's size limit, say
+            raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     try:

@@ -31,7 +31,7 @@ def assert_no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """The arguments of each helper's job, recorded as forkwrite._fork is
-    called: (items, render) for a CSV write, (data, lo, hi) for a read."""
+    called: (items, render) for a CSV write, (path, lo, hi) for a read."""
     jobs = []
     fork = forkwrite._fork
 
@@ -51,7 +51,6 @@ def steps_of(forks):
 @pytest.fixture
 def split_everything(monkeypatch):
     monkeypatch.setattr(io, "MIN_PART_ROWS", 1)
-    monkeypatch.setattr(io, "MIN_PARSE_BYTES", 1)
 
 
 def open_fds():
@@ -228,37 +227,54 @@ class TestFailedPart:
 
 
 class TestParsedInParts:
-    # an N=60 walk: 77,531 rows, about 2.4 MB, which holds three parts of
-    # MIN_PARSE_BYTES
+    # an N=60 walk: 77,531 rows, which hold three parts of MIN_PART_ROWS
     @pytest.fixture(scope="class")
     def long_csv(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL, 60, 2), path)
         return path
 
-    def test_writer_made_file_reads_the_same_columns_in_1_2_3_parts(self, long_csv, forks):
-        assert long_csv.stat().st_size > 3 * io.MIN_PARSE_BYTES
+    @pytest.fixture
+    def own_parts(self, monkeypatch):
+        """The (lo, hi) line range of each part this process parses."""
+        parent, part_rows, ranges = os.getpid(), io._part_rows, []
+
+        def recording(path, lo, hi):
+            if os.getpid() == parent:
+                ranges.append((lo, hi))
+            return part_rows(path, lo, hi)
+
+        monkeypatch.setattr(io, "_part_rows", recording)
+        return ranges
+
+    def test_writer_made_file_reads_the_same_columns_in_1_2_3_parts(self, long_csv, forks,
+                                                                     own_parts):
+        assert 77_531 > 3 * io.MIN_PART_ROWS
         one = io._parsed_columns(long_csv, 1)
         assert forks == [] and len(one[0]) == 77_531
+        assert own_parts == [(0, 77_531)]
         for threads in (2, 3):
+            own_parts.clear()
             assert same_columns(io._parsed_columns(long_csv, threads), one)
             assert len(forks) == threads - 1
-            # each helper's part starts and ends just after a line break, and
-            # the next part starts where it ends
-            assert all(data[lo - 1:lo] == data[hi - 1:hi] == b"\n" for data, lo, hi in forks)
-            assert [hi for _, _, hi in forks[:-1]] == [lo for _, lo, _ in forks[1:]]
+            # this process parses the first range, and each helper's range
+            # starts where the one before ends, so every row is parsed once
+            ranges = own_parts + [(lo, hi) for _, lo, hi in forks]
+            assert all(path == long_csv for path, _, _ in forks)
+            assert ranges[0][0] == 0 and ranges[-1][1] == 77_531
+            assert [hi for _, hi in ranges[:-1]] == [lo for lo, _ in ranges[1:]]
+            assert all(lo < hi for lo, hi in ranges)
             forks.clear()
         want = io.read_distribution_windows(long_csv, 1)
         assert [w.tobytes() for w in io.read_distribution_windows(long_csv, 3)] == [
             w.tobytes() for w in want]
         assert_no_child_left()
 
-    # two parts from twice MIN_PARSE_BYTES of body, the bytes after the header
+    # two parts from twice MIN_PART_ROWS of body lines
     @pytest.mark.parametrize("extra,helpers", [(1, 0), (0, 1)], ids=["below", "above"])
     def test_two_parts_from_twice_the_minimum(self, long_csv, forks, monkeypatch, extra,
                                               helpers):
-        body = long_csv.stat().st_size - len("step,i,j,p\n")
-        monkeypatch.setattr(io, "MIN_PARSE_BYTES", body // 2 + extra)
+        monkeypatch.setattr(io, "MIN_PART_ROWS", 77_531 // 2 + extra)
         assert io._parsed_columns(long_csv, 2) is not None
         assert len(forks) == helpers
 
@@ -269,28 +285,87 @@ class TestParsedInParts:
         assert forks == []
 
     @pytest.mark.usefixtures("split_everything")
-    def test_a_part_of_blank_lines_reads_no_rows_and_no_warning(self, tmp_path, forks):
-        # three parts of a 90-byte body: the row and blank lines, then blank
-        # lines only in a helper's part and in this process's
+    def test_more_threads_than_rows_make_no_empty_part_and_no_warning(self, tmp_path, forks,
+                                                                      own_parts):
         path = tmp_path / "d.csv"
-        path.write_bytes(b"step,i,j,p\n0,0,0,1.0\n" + b"\r\n" * 40)
+        path.write_bytes(b"step,i,j,p\n0,0,0,1.0\n1,1,1,1.0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a helper inherits the filter
             columns = io._parsed_columns(path, 3)
         assert same_columns(columns, io._parsed_columns(path, 1))
-        assert len(forks) == 2
-        assert io._part_rows(path.read_bytes(), *forks[1][1:]).size == 0
+        assert [args[1:] for args in forks] == [(1, 2)]
+        assert own_parts == [(0, 1), (0, 2)]
         assert_no_child_left()
+
+    @pytest.mark.usefixtures("split_everything")
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r\n").replace("\r\n", "\n", 1),
+        lambda text: text.replace("\n1,", "\n\n1,", 1),
+        lambda text: text[:-1],
+    ], ids=["crlf", "crlf-body", "blank-line", "no-final-newline"])
+    def test_other_line_breaks_are_read_row_by_row(self, tmp_path, forks, edit):
+        path = tmp_path / "d.csv"
+        io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path)
+        want = [w.tobytes() for w in io.read_distribution_windows(path, 3)]
+        forks.clear()
+        path.write_text(edit(path.read_text()), newline="")
+        assert io._parsed_columns(path, 3) is None
+        assert forks == []
+        assert [w.tobytes() for w in io.read_distribution_windows(path, 3)] == want
+
+    def test_records_that_cannot_be_allocated_send_the_file_row_by_row(self, tmp_path,
+                                                                      monkeypatch):
+        # a file of many short lines that are not rows may ask for more record
+        # memory than there is
+        path = tmp_path / "d.csv"
+        path.write_text("step,i,j,p\n" + "0\n" * 3)
+
+        def refusing(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", refusing)
+        assert io._parsed_columns(path, 1) is None
+        monkeypatch.undo()
+        with pytest.raises(ConfigError, match=f"{path}: line 2: expected integers"):
+            io.read_distribution_windows(path)
+
+    @pytest.mark.parametrize("rewrite", ["longer", "touched", "moved-in"])
+    def test_file_rewritten_during_the_parse_is_declined(self, tmp_path, monkeypatch,
+                                                         rewrite):
+        path = tmp_path / "d.csv"
+        path.write_text("step,i,j,p\n0,0,0,1.0\n")
+        part_rows = io._part_rows
+
+        def rewriting(*args):
+            if rewrite == "longer":
+                path.write_text("step,i,j,p\n0,0,0,1.0\n1,1,1,1.0\n")
+            elif rewrite == "touched":
+                os.utime(path, ns=(0, 0))
+            else:  # a file of the same size and mtime, as `cp -p` then `mv` leave
+                other = tmp_path / "e.csv"
+                other.write_text("step,i,j,p\n0,0,0,0.5\n")
+                stat = os.stat(path)
+                os.utime(other, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+                os.replace(other, path)
+            return part_rows(*args)
+
+        monkeypatch.setattr(io, "_part_rows", rewriting)
+        assert io._parsed_columns(path, 1) is None
 
 
 @pytest.mark.usefixtures("split_everything")
 class TestFailedParse:
     @pytest.fixture
-    def failing_helpers(self, monkeypatch, request):
+    def failing_helpers(self, monkeypatch, request, tmp_path):
         """Helpers that fail: np.loadtxt raises a ValueError in any process
         but this one, or leaves it with exit code 1, or a helper raises once
-        it has written all of its records."""
+        it has written all of its records, or leaves its last record out
+        and exits 0.  In the last case the record array starts out holding
+        the file's records, so only the check of each helper's size sees
+        the missing one."""
         parent, loadtxt, write_part_rows = os.getpid(), np.loadtxt, io._write_part_rows
+        empty = np.empty
 
         def failing(*args, **kwargs):
             if os.getpid() != parent:
@@ -303,8 +378,20 @@ class TestFailedParse:
             write_part_rows(*args)
             raise OSError("failed after the write")
 
+        def writing_short(path, lo, hi, fd):
+            write_part_rows(path, lo, hi, fd)
+            os.ftruncate(fd, os.fstat(fd).st_size - io._CSV_ROW.itemsize)
+
+        def filled(shape, dtype=float, *args, **kwargs):
+            if dtype is io._CSV_ROW:
+                return io._part_rows(tmp_path / "d.csv", 0, shape)
+            return empty(shape, dtype, *args, **kwargs)
+
         if request.param == "after-writing":
             monkeypatch.setattr(io, "_write_part_rows", failing_once_written)
+        elif request.param == "short":
+            monkeypatch.setattr(io, "_write_part_rows", writing_short)
+            monkeypatch.setattr(np, "empty", filled)
         else:
             monkeypatch.setattr(np, "loadtxt", failing)
 
@@ -317,10 +404,10 @@ class TestFailedParse:
         return [window.tobytes() for window in windows]
 
     # a valid file, and one whose steps 0 and 2 pass the parse but not the
-    # row loop's contiguity check
-    @pytest.mark.parametrize("failing_helpers", ["raises", "exits", "after-writing"],
+    # row loop's contiguity check, in three rows, so three parts
+    @pytest.mark.parametrize("failing_helpers", ["raises", "exits", "after-writing", "short"],
                              indirect=True)
-    @pytest.mark.parametrize("body", ["valid", "0,0,0,1.0\n2,0,0,1.0\n"])
+    @pytest.mark.parametrize("body", ["valid", "0,0,0,1.0\n2,0,0,0.5\n2,2,0,0.5\n"])
     def test_failing_helper_reads_as_the_row_loop_reads(self, tmp_path, forks, body,
                                                         failing_helpers):
         path = tmp_path / "d.csv"
@@ -343,7 +430,7 @@ class TestFailedParse:
         path = tmp_path / "d.csv"
         io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path)
 
-        def stalling(data, lo, hi):
+        def stalling(path, lo, hi):
             if os.getpid() != parent:
                 time.sleep(60)  # a helper that would outlive the test
             raise RuntimeError("parent failed")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ class TestConfigValidation:
         kwargs = {"steps": 10, "realizations": 4, "master_seed": 0, field: value}
         with pytest.raises(ConfigError, match=field):
             DisorderConfig(DisorderMode.DYNAMICAL_SPATIAL, math.pi, **kwargs)
+
+    @pytest.mark.parametrize("zeta", ["1", None, 1 + 0j, True])
+    def test_non_real_zeta_rejected(self, zeta):
+        message = f"zeta must be a real number, got {zeta!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config(DisorderMode.DYNAMICAL_SPATIAL, zeta)
+
+    def test_numpy_floats_and_integers_accepted_as_zeta(self):
+        assert config(DisorderMode.DYNAMICAL_SPATIAL, np.float32(0.5)).zeta == 0.5
+        assert config(DisorderMode.DYNAMICAL_SPATIAL, np.int64(3)).zeta == 3
 
     def test_numpy_integers_accepted(self):
         cfg = DisorderConfig(DisorderMode.NONE, 0.0, steps=np.int64(3),

@@ -571,6 +571,34 @@ class TestCliFitInput:
         assert main(["fit", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_field_past_the_csv_size_limit_is_config_error(self, tmp_path, capsys):
+        # a quoted field sends the file to the row-by-row reader, whose csv
+        # module refuses a field over 131,072 characters
+        path = tmp_path / "d.csv"
+        path.write_text('step,i,j,p\n0,0,0,"' + "1" * 200_000 + '"\n')
+        assert main(["fit", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 2: field larger than field limit" in err
+        assert not (tmp_path / "fits.json").exists()
+
+    @pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma",
+                                      "x-none://host/d.csv"])
+    def test_plain_csv_named_as_numpy_opens_no_plain_file_fits_the_same(
+            self, run_dir, tmp_path, monkeypatch, name):
+        # np.loadtxt opens a path through numpy's DataSource, which reads the
+        # first names as compressed and takes the last, a relative path, for a
+        # URL: the compressed ones go row by row, the last is read in place
+        monkeypatch.chdir(tmp_path)
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_bytes((run_dir / "distributions.csv").read_bytes())
+        manifest = ["--manifest", str(run_dir / "manifest.cfg")]
+        assert main(["fit", str(run_dir / "distributions.csv"), *manifest,
+                     "--out", "want.json"]) == 0
+        assert main(["fit", name, *manifest, "--out", "got.json"]) == 0
+        assert Path("got.json").read_bytes() == Path("want.json").read_bytes()
+        assert (_parsed_columns(name) is None) == (not name.startswith("x-none:"))
+        assert not Path("host").exists()  # where DataSource caches a URL's file
+
     @pytest.mark.parametrize("n_steps", [70_001, 1_600_001])
     def test_window_buffer_that_cannot_be_allocated_is_config_error(self, tmp_path, capsys,
                                                                     n_steps):

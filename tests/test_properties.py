@@ -354,12 +354,11 @@ class TestDistributionCsvWriter:
 class TestDistributionCsvReader:
     """read_distribution_csv against the row-by-row reader it replaced
     (reference.py): on any file, both return the same grids and half widths,
-    or raise the same error with the same message.  Read in three parts of
-    at least one byte each, so that cuts land on blank lines, CRLF endings,
-    bad rows and parts with no rows, read_distribution_windows gives the
-    outcome of both.  The files are written from distributions on the
-    parity sublattice, as a walk's are, so the writer's output takes the
-    fast path."""
+    or raise the same error with the same message.  Read in up to three
+    parts of at least one line each, so that cuts land next to bad rows,
+    read_distribution_windows gives the outcome of both.  The files are
+    written from distributions on the parity sublattice, as a walk's are,
+    so the writer's output takes the fast path."""
 
     @pytest.fixture(scope="class")
     def csv_path(self, tmp_path_factory):
@@ -423,5 +422,5 @@ class TestDistributionCsvReader:
         want = self.outcome(reference_read_distribution_csv, csv_path)
         assert self.outcome(read_distribution_csv, csv_path) == want
         if parts > 1:
-            with mock.patch.object(io_mod, "MIN_PARSE_BYTES", 1):
+            with mock.patch.object(io_mod, "MIN_PART_ROWS", 1):
                 assert self.outcome(self.read_in_parts, csv_path) == want
