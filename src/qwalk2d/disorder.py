@@ -99,6 +99,15 @@ def derive_trajectory_seed(master_seed: int, trajectory_index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _phases(draws, zeta: float):
+    """Phases from draws uniform on [0, 1) with uniform(-zeta, zeta)'s own
+    arithmetic, -zeta + (zeta - -zeta) * u, bit for bit; an array of draws
+    turns into its phases in place."""
+    draws *= zeta - -zeta
+    draws += -zeta
+    return draws
+
+
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
     """Independent PCG64 stream for one trajectory."""
     return np.random.default_rng(derive_trajectory_seed(master_seed, trajectory_index))
@@ -112,30 +121,34 @@ class PhaseSampler:
     in a fixed row-major order, and each step is handed the centred window
     it asks for.  So a site's phase depends only on the config, the
     trajectory, the step and the site, never on the window.
+
+    A draw is uniform on [0, 1), and _phases turns it into its phase.
+    phases_for_step hands out phases; fill_window hands the engine the
+    draws of a step's sublattice sites, which it turns into phases for a
+    whole group of trajectories at once.  Both take their rows from
+    _draw_rows.
     """
 
     def __init__(self, config: DisorderConfig, trajectory_index: int):
         self.config = config
         self.rng = trajectory_rng(config.master_seed, trajectory_index)
-        self._grid: np.ndarray | None = None
+        self._grid: np.ndarray | None = None  # static spatial draws
+        self._phase_grid: np.ndarray | None = None  # their phases, for phases_for_step
 
-    def phases_for_step(self, step: int, half_width: int) -> PhaseMatrix:
-        """Phases applied at the end of the given step on |i|, |j| <= half_width.
+    def _draw_rows(self, step: int, half_width: int, rows: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """The draws of the rows |i| <= half_width of a spatial mode's
+        whole-lattice grid for the given step, (2 half_width + 1, L) with
+        L = 2 steps + 1.  Raises PhaseCoverageError for a window wider than
+        the lattice.
 
-        Raises PhaseCoverageError for a window wider than the lattice.  For
-        the whole lattice the values are the drawn grid itself; static
-        spatial disorder draws its grid at the first request and hands the
-        same object to every later step.  A dynamical step draws only the
-        window's rows of its whole-lattice grid and advances the stream past
-        the rows above and below, so the stream ends where the whole draw
-        would have left it.
+        Static spatial disorder draws its grid at the first request and
+        hands out views of it.  A dynamical step draws only the window's
+        rows, into the buffer rows when one is given, and advances the
+        stream past the rows above and below, so the stream ends where the
+        whole draw would have left it.
         """
         cfg = self.config
-        zeta = cfg.zeta
-        if cfg.mode is DisorderMode.NONE or zeta == 0.0:
-            return PhaseMatrix(np.float64(0.0))
-        if cfg.mode is DisorderMode.DYNAMICAL_UNIFORM:
-            return PhaseMatrix(np.float64(self.rng.uniform(-zeta, zeta)))
         if half_width > cfg.steps:
             raise PhaseCoverageError(
                 f"step {step} asks for phases on |i|,|j| <= {half_width}, "
@@ -145,12 +158,56 @@ class PhaseSampler:
         off = cfg.steps - half_width
         if cfg.mode is DisorderMode.STATIC_SPATIAL:
             if self._grid is None:
-                self._grid = self.rng.uniform(-zeta, zeta, size=(size, size))
-            rows = self._grid[off:size - off] if off else self._grid
+                self._grid = self.rng.random((size, size))
+            return self._grid[off:size - off]
+        # random takes one 64-bit output per double, so skipping off rows
+        # of the whole-lattice draw is one advance by off * size
+        if rows is None:
+            rows = np.empty((size - 2 * off, size))
+        self.rng.bit_generator.advance(off * size)
+        self.rng.random(out=rows)
+        self.rng.bit_generator.advance(off * size)
+        return rows
+
+    def phases_for_step(self, step: int, half_width: int) -> PhaseMatrix:
+        """Phases applied at the end of the given step on |i|, |j| <= half_width.
+
+        Raises PhaseCoverageError for a window wider than the lattice.  For
+        the whole lattice a static spatial grid is the same object at every
+        step.  No disorder, or zeta = 0, gives a 0-d zero, and uniform
+        dephasing one 0-d phase per step.
+        """
+        cfg = self.config
+        zeta = float(cfg.zeta)
+        if cfg.mode is DisorderMode.NONE or zeta == 0.0:
+            return PhaseMatrix(np.float64(0.0))
+        if cfg.mode is DisorderMode.DYNAMICAL_UNIFORM:
+            return PhaseMatrix(np.float64(_phases(self.rng.random(), zeta)))
+        drawn = self._draw_rows(step, half_width)
+        size = 2 * cfg.steps + 1
+        off = cfg.steps - half_width
+        if cfg.mode is DisorderMode.STATIC_SPATIAL:
+            if self._phase_grid is None:
+                self._phase_grid = _phases(self._grid.copy(), zeta)
+            rows = self._phase_grid[off:size - off] if off else self._phase_grid
         else:
-            # uniform takes one 64-bit output per double, so skipping off
-            # rows of the whole-lattice draw is one advance by off * size
-            self.rng.bit_generator.advance(off * size)
-            rows = self.rng.uniform(-zeta, zeta, size=(size - 2 * off, size))
-            self.rng.bit_generator.advance(off * size)
+            rows = _phases(drawn, zeta)
         return PhaseMatrix(rows[:, off:size - off] if off else rows)
+
+    def fill_window(self, step: int, out: np.ndarray, rows: np.ndarray | None) -> None:
+        """Write the draws of the given step's sublattice sites into out;
+        only for a mode with nonzero phases.
+
+        For a spatial mode out is (step + 1, step + 1): out[u, v] is the
+        draw of site (2u - step, 2v - step), which phases_for_step(step,
+        step) turns into that site's phase.  A dynamical spatial step draws
+        its rows into rows, a (2 step + 1, L) buffer that a group of
+        samplers can share.  For uniform dephasing out is (1, 1), the
+        step's one draw.
+        """
+        if self.config.mode is DisorderMode.DYNAMICAL_UNIFORM:
+            self.rng.random(out=out)
+            return
+        drawn = self._draw_rows(step, step, rows)
+        off = self.config.steps - step
+        out[...] = drawn[::2, off:drawn.shape[1] - off:2]

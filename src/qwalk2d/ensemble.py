@@ -10,7 +10,8 @@ A chunk runs its trajectories in groups, each through one
 evolve.add_trajectories call.  The group width is derived from the step
 count, never set: as many trajectories as fit GROUP_BYTES of amplitudes.
 Each step's windows are added into the chunk's per-step sublattice sums,
-one (n + 1, n + 1) grid per step n, in trajectory order as they come, and
+one (n + 1, n + 1) grid per step n, in trajectory order as they come (one
+reduce per group and step, see add_trajectories), and
 each trajectory's variance row comes from the x and y marginals of its
 windows, so the width changes no bit.  A chunk's sums hold
 sum_n (n + 1)^2 values (2.8 MB at N = 100), about a twelfth of one dense

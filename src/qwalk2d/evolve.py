@@ -8,11 +8,14 @@ meant for short walks.
 
 Both engines keep their states on the parity sublattice (see the state
 module): shape (n + 1, n + 1, 2) after n steps, and an oracle rho of
-dimension 2 (n + 1)^2.  Step n takes every other phase of its window
-|i|, |j| <= n, a strided view of the whole-lattice draw.  add_trajectories
-runs every trajectory: it steps a group of B as one (B, n + 1, n + 1, 2)
-stack, adds their windows into a per-step list of (n + 1, n + 1) window
-sums, and computes their variance rows from their marginals.
+dimension 2 (n + 1)^2.  Step n's phases are those of its window's
+sublattice sites, every other site of the window |i|, |j| <= n at the
+centre of the whole-lattice draw.  add_trajectories runs every trajectory:
+it steps a group of B as one (B, n + 1, n + 1, 2) stack, adds their
+windows into a per-step list of (n + 1, n + 1) window sums, and computes
+their variance rows from their marginals.  Apart from one draw per
+trajectory, each step makes a fixed number of numpy calls for the whole
+group: the phases and their exp, the kick, the unit check, the window sum.
 
 A WalkResult holds its site distributions the same way, as one
 (n + 1, n + 1) window per step, window[u, v] = p(2u - n, 2v - n), and its
@@ -35,13 +38,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Distribution2D, marginal_variances, zeroed_array
-from .disorder import DisorderConfig, DisorderMode, PhaseMatrix, PhaseSampler
-from .errors import ConfigError, TrajectoryFailure, UnsupportedModeError, check_unit_total
+from .disorder import DisorderConfig, DisorderMode, PhaseSampler, _phases
+from .errors import (
+    UNIT_TOL,
+    ConfigError,
+    TrajectoryFailure,
+    UnsupportedModeError,
+    check_unit_total,
+)
 from .state import (
     WalkState,
     _coin_grow,
+    _kick,
     apply_coin,
-    apply_dephasing,
     apply_shift_x,
     apply_shift_y,
     initial_state,
@@ -63,11 +72,15 @@ def _unitary(state: WalkState, sublattice: bool) -> WalkState:
     return apply_shift_y(apply_coin(apply_shift_x(apply_coin(state))))
 
 
-def _step(state: WalkState, phases: PhaseMatrix) -> WalkState:
-    """Coin, x shift, coin, y shift, dephasing on a sublattice state, which
-    comes out on the sublattice of the next step."""
-    out = apply_dephasing(_unitary(state, sublattice=True), phases)
-    return WalkState(out.amps, state.half_width + 1, state.step_count + 1)
+def _step(state: WalkState, half_turns=None) -> WalkState:
+    """Coin, x shift, coin, y shift on a sublattice state, which comes out
+    on the sublattice of the next step, then the dephasing kick in place by
+    half_turns(), e^{-i phi/2} (see _half_turns); None skips the kick.
+    The factors are made after the unitary, so that it runs without them."""
+    amps = _unitary(state, sublattice=True).amps
+    if half_turns is not None:
+        _kick(amps, half_turns(), amps)
+    return WalkState(amps, state.half_width + 1, state.step_count + 1)
 
 
 def sublattice_sites(n: int, size: int) -> slice:
@@ -143,18 +156,28 @@ class WalkResult:
                 for n, probs in enumerate(self.probabilities)]
 
 
-def _group_phases(samplers: list[PhaseSampler], start: int, n: int) -> PhaseMatrix:
-    """Step n's (B, n + 1, n + 1) phases, one window per sampler; a sampler's
-    exception comes out as TrajectoryFailure naming its trajectory."""
-    phases = np.empty((len(samplers), n + 1, n + 1))
-    for k, sampler in enumerate(samplers, start):
+def _half_turns(samplers: list[PhaseSampler], start: int, n: int) -> np.ndarray:
+    """e^{-i phi/2} of step n's phases for a group, one grid per sampler:
+    (B, n + 1, n + 1) for a spatial mode, (B, 1, 1) for uniform dephasing.
+    The samplers write their draws into one buffer (PhaseSampler.fill_window;
+    dynamical spatial ones draw their rows into one shared row buffer), and
+    the group turns them all into phases at once (disorder._phases).
+    A sampler's exception comes out as TrajectoryFailure naming its
+    trajectory.  The buffers live for the step alone."""
+    config = samplers[0].config
+    zeta = float(config.zeta)
+    rows = None
+    if config.mode is DisorderMode.DYNAMICAL_SPATIAL:
+        rows = np.empty((2 * n + 1, 2 * config.steps + 1))
+    width = 1 if config.mode is DisorderMode.DYNAMICAL_UNIFORM else n + 1
+    draws = np.empty((len(samplers), width, width))
+    for k, (sampler, out) in enumerate(zip(samplers, draws), start):
         try:
-            values = sampler.phases_for_step(n, n).values
+            sampler.fill_window(n, out, rows)
         except Exception as exc:
             raise TrajectoryFailure(f"trajectory {k} failed at step {n}: {exc}") from exc
-        # a scalar phase fills the whole window
-        phases[k - start] = values[::2, ::2] if values.ndim else values
-    return PhaseMatrix(phases)
+    half_turn = -0.5j * _phases(draws, zeta)
+    return np.exp(half_turn, out=half_turn)
 
 
 def zero_windows(n_steps: int, rows=None) -> list[np.ndarray]:
@@ -198,31 +221,49 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
     default, contextlib.nullcontext, waits for nothing.
 
     The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
-    sublattice stack, each with its own PhaseSampler.  Each step's windows
-    are added into its sum in trajectory order.  The variance rows come
-    from each trajectory's x and y marginals (sublattice_marginals), as
-    window_variances computes them.  So no bit depends on B, and B = 1
-    into zeroed windows gives the trajectory's own windows.  A failing
-    unit total raises InvariantViolationError naming the first trajectory,
-    in index order, that fails at the first failing step.
+    sublattice stack, each with its own PhaseSampler, and kicked in place;
+    without disorder, or at zeta = 0, there is no kick (it would multiply
+    by 1, and could change only the sign of a zero amplitude).  Each
+    step's windows are added into its sum in trajectory order.  The
+    variance rows come from each trajectory's x and y marginals
+    (sublattice_marginals), as window_variances computes them.  So no bit
+    depends on B, and B = 1 into zeroed windows gives the trajectory's own
+    windows.  A failing unit total raises InvariantViolationError naming
+    the first trajectory, in index order, that fails at the first failing
+    step.
     """
     n_steps = config.steps
     size = 2 * n_steps + 1
     samplers = [PhaseSampler(config, k) for k in range(start, stop)]
+    kicked = config.mode is not DisorderMode.NONE and config.zeta != 0.0
     px = np.zeros((len(samplers), n_steps + 1, size))
     py = np.zeros_like(px)
     state = WalkState(np.repeat(initial_state(0).amps[np.newaxis], len(samplers), axis=0), 0)
+
+    def half_turns():  # step n's
+        return _half_turns(samplers, start, n)
+
     for n in range(n_steps + 1):
         if n > 0:
-            state = _step(state, _group_phases(samplers, start, n))
+            state = _step(state, half_turns if kicked else None)
         windows = state.probabilities()
-        for k, total in enumerate(windows.sum(axis=(1, 2)), start):
-            check_unit_total(total, f"trajectory {k}: norm at step {n}")
-        with turn(n):
-            for window in windows:
-                window_sums[n] += window
+        totals = windows.sum(axis=(1, 2))
+        if not (abs(totals - 1.0) <= UNIT_TOL).all():
+            # check_unit_total's test on the whole group; the loop names the
+            # first trajectory that fails it
+            for k, total in enumerate(totals, start):
+                check_unit_total(total, f"trajectory {k}: norm at step {n}")
         sites = sublattice_sites(n, size)
         px[:, n, sites], py[:, n, sites] = sublattice_marginals(windows, size)
+        with turn(n):
+            if n:
+                # one reduce over the trajectory axis adds the windows in
+                # order, and the sum goes first: s + w0 is w0 + s
+                windows[0] += window_sums[n]
+                np.add.reduce(windows, axis=0, out=window_sums[n])
+            else:  # numpy would add a stack of (1, 1) windows pairwise
+                for window in windows:
+                    window_sums[n] += window
     for b in range(len(samplers)):
         var_rows[b] = marginal_variances(px[b], py[b], n_steps)
 

@@ -597,14 +597,19 @@ _RAMP = [
 ]
 
 
-def _ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_RAMP, _RAMP[1:]):
-        if t <= t1:
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#{:02x}{:02x}{:02x}".format(*_RAMP[-1][1])
+def _ramp_colors(t: np.ndarray) -> list[str]:
+    """The '#rrggbb' color of each t, clipped to [0, 1], on the ramp: linear
+    between the stops t0 < t <= t1 (the first stop for t = 0), each channel
+    a + w (b - a) rounded half to even, as Python's round does."""
+    ends = np.array([stop for stop, _ in _RAMP])
+    rgb = np.array([color for _, color in _RAMP], dtype=float)
+    t = np.clip(t, 0.0, 1.0)
+    hi = np.maximum(np.searchsorted(ends, t, side="left"), 1)
+    w = (t - ends[hi - 1]) / (ends[hi] - ends[hi - 1])
+    a, b = rgb[hi - 1], rgb[hi]
+    channels = np.rint(a + w[:, np.newaxis] * (b - a)).astype(np.int64)
+    packed = channels @ np.array([1 << 16, 1 << 8, 1])
+    return ["#%06x" % color for color in packed.tolist()]
 
 
 def render_heatmap_svg(dist: Distribution2D, path, log_scale: bool = False) -> None:
@@ -626,17 +631,16 @@ def render_heatmap_svg(dist: Distribution2D, path, log_scale: bool = False) -> N
         raise InvariantViolationError(
             f"cannot render step {dist.step}: its largest probability is {pmax!r}, "
             "not finite and positive")
-    positive = dist.probs[dist.probs > 0.0]
-    pmin = float(positive.min())
+    ii, jj = np.nonzero(dist.probs > 0.0)
+    positive = dist.probs[ii, jj]
     if log_scale:
-        lo, hi = math.log10(pmin), math.log10(pmax)
+        # math.log10 site by site: np.log10 need not round as libm does
+        logs = np.array([math.log10(p) for p in positive.tolist()])
+        lo, hi = math.log10(float(positive.min())), math.log10(pmax)
         span = hi - lo
-
-        def scale(p):
-            return 1.0 if span == 0.0 else (math.log10(p) - lo) / span
+        t = np.ones(len(logs)) if span == 0.0 else (logs - lo) / span
     else:
-        def scale(p):
-            return p / pmax
+        t = positive / pmax
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -645,9 +649,7 @@ def render_heatmap_svg(dist: Distribution2D, path, log_scale: bool = False) -> N
         f'<rect x="{margin}" y="{margin}" width="{size * cell}" height="{size * cell}" '
         f'fill="#202030"/>',
     ]
-    ii, jj = np.nonzero(dist.probs > 0.0)
-    for u, v in zip(ii.tolist(), jj.tolist()):
-        color = _ramp_color(scale(float(dist.probs[u, v])))
+    for u, v, color in zip(ii.tolist(), jj.tolist(), _ramp_colors(t)):
         x = margin + u * cell
         y = margin + (size - 1 - v) * cell
         parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>')

@@ -18,8 +18,8 @@ after.  The full-grid apply_shift_x/y is _shift, the kernel followed by a
 crop back to 2h + 1 rows.  The engines apply each coin and sublattice shift
 together, as one fused kernel (_coin_grow) with the bits of the two in turn.
 The coin and the dephasing kick act site by site, so they serve both layouts.
-At half width 0 the two layouts coincide.  All operations are pure: they
-return a new state and never mutate their input.
+At half width 0 the two layouts coincide.  All public operations are
+pure: they return a new state and never mutate their input.
 """
 
 from __future__ import annotations
@@ -115,21 +115,19 @@ def _grow(state: WalkState, axis: int) -> WalkState:
 
 def _coin_grow(state: WalkState, axis: int) -> WalkState:
     """apply_coin, then _grow along axis, bit for bit, written into one
-    array: each coin output goes straight to its shifted rows, and only the
-    new edge row of each coin component is zeroed.  Half the numpy calls of
-    the two steps, and no intermediate state."""
+    array: each coin sum goes straight to its shifted rows, only the new
+    edge row of each coin component is zeroed, and one product scales the
+    whole array, zeroed edges included, which stay +0.0.  Half the numpy
+    calls of the two steps, and no intermediate state."""
     a = state.amps
     shape = list(a.shape)
     shape[axis] += 1
     out = np.empty(shape, dtype=a.dtype)
-    h = out[_rows(axis, slice(None, -1), COIN_H)]
-    v = out[_rows(axis, slice(1, None), COIN_V)]
-    np.add(a[..., COIN_H], a[..., COIN_V], out=h)
-    h *= _INV_SQRT2
-    np.subtract(a[..., COIN_H], a[..., COIN_V], out=v)
-    v *= _INV_SQRT2
+    np.add(a[..., COIN_H], a[..., COIN_V], out=out[_rows(axis, slice(None, -1), COIN_H)])
+    np.subtract(a[..., COIN_H], a[..., COIN_V], out=out[_rows(axis, slice(1, None), COIN_V)])
     out[_rows(axis, -1, COIN_H)] = 0
     out[_rows(axis, 0, COIN_V)] = 0
+    out *= _INV_SQRT2
     return WalkState(out, state.half_width, state.step_count)
 
 
@@ -181,7 +179,14 @@ def apply_dephasing(state: WalkState, phases: PhaseMatrix) -> WalkState:
     half_turn = np.asarray(-0.5j * values)
     np.exp(half_turn, out=half_turn)
     out = np.empty_like(state.amps)
-    np.multiply(state.amps[..., COIN_H], half_turn, out=out[..., COIN_H])
-    np.multiply(state.amps[..., COIN_V], np.conj(half_turn, out=half_turn),
-                out=out[..., COIN_V])
+    _kick(state.amps, half_turn, out)
     return WalkState(out, state.half_width, state.step_count)
+
+
+def _kick(amps: np.ndarray, half_turn: np.ndarray, out: np.ndarray) -> None:
+    """The dephasing kick's products, written into out, which may be amps
+    itself: aH * half_turn and aV * conj(half_turn), the amplitude first.
+    half_turn is e^{-i phi/2} (broadcast against amps without its coin
+    axis) and is conjugated in place."""
+    np.multiply(amps[..., COIN_H], half_turn, out=out[..., COIN_H])
+    np.multiply(amps[..., COIN_V], np.conj(half_turn, out=half_turn), out=out[..., COIN_V])

@@ -15,6 +15,9 @@ Distribution2D and error types only so that its results and messages
 compare directly.
 write_distribution_csv is the writer as it was before it streamed each
 step's rows, formatting one row at a time; it is kept verbatim too.
+ramp_color is the heatmap's color of one site, as the package computed it
+site by site before it colored a whole grid with numpy; kept verbatim, on
+the package's color stops.
 """
 
 import cmath
@@ -27,6 +30,7 @@ import numpy as np
 
 from qwalk2d.analysis import Distribution2D
 from qwalk2d.errors import ConfigError, check_unit_total
+from qwalk2d.io import _RAMP
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -187,3 +191,13 @@ def write_distribution_csv(dists, path) -> None:
         for u, v in zip(ii.tolist(), jj.tolist()):
             lines.append(f"{dist.step},{u - h},{v - h},{float(dist.probs[u, v])!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def ramp_color(t: float) -> str:
+    t = min(max(t, 0.0), 1.0)
+    for (t0, c0), (t1, c1) in zip(_RAMP, _RAMP[1:]):
+        if t <= t1:
+            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
+            return "#{:02x}{:02x}{:02x}".format(*rgb)
+    return "#{:02x}{:02x}{:02x}".format(*_RAMP[-1][1])

@@ -76,10 +76,10 @@ class TestRunEnsemble:
                 super().__init__(cfg, k)
                 self.index = k
 
-            def phases_for_step(self, step, half_width):
+            def fill_window(self, step, out, rows):
                 if self.index == 3:
                     raise ValueError("synthetic")
-                return super().phases_for_step(step, half_width)
+                return super().fill_window(step, out, rows)
 
         monkeypatch.setattr(evolve, "PhaseSampler", FailingSampler)
         with pytest.raises(TrajectoryFailure, match="trajectory 3"):
@@ -100,10 +100,10 @@ class TestRunEnsemble:
                 super().__init__(cfg, k)
                 self.index = k
 
-            def phases_for_step(self, step, half_width):
+            def fill_window(self, step, out, rows):
                 if (self.index, step) in failures:
                     raise ValueError("synthetic")
-                return super().phases_for_step(step, half_width)
+                return super().fill_window(step, out, rows)
 
         monkeypatch.setattr(evolve, "PhaseSampler", FailingSampler)
         cfg = config(steps=60, realizations=32)
@@ -269,6 +269,17 @@ class TestBatchedChunk:
         np.testing.assert_array_equal(other.probabilities, base.probabilities)
         np.testing.assert_array_equal(other.per_trajectory_variances,
                                       base.per_trajectory_variances)
+
+    def test_a_full_group_adds_its_windows_in_trajectory_order(self):
+        # at N=8 a chunk of 32 is one group; its sums must be bit for bit the
+        # one-at-a-time sums, step 0 included, where numpy would add the
+        # (32, 1, 1) stack of one-site windows pairwise
+        cfg = config(realizations=32)
+        _, sums, rows = ensemble._run_chunk((cfg, 0, 32, 1))
+        ref_sum, ref_rows = reference_chunk(cfg, 0, 32)
+        for window, ref in zip(sums, ref_sum):
+            assert evolve.scatter_window(window, cfg.steps).probs.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(rows, ref_rows)
 
     def test_ragged_last_chunk_and_group(self):
         # R=37 at N=20: chunks [0, 32) and [32, 37), the second one group of 5

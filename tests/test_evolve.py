@@ -16,7 +16,7 @@ from qwalk2d import (
     run_trajectory,
     variance_series,
 )
-from qwalk2d.disorder import PhaseMatrix, PhaseSampler
+from qwalk2d.disorder import PhaseSampler
 from qwalk2d.errors import LatticeOverflowError
 from qwalk2d.evolve import (
     DensityState,
@@ -72,7 +72,7 @@ class TestGoldenFirstStep:
         np.testing.assert_allclose(probs[occupied], 0.25, atol=1e-12)
 
     def test_step_count_increments(self):
-        state = _step(initial_state(0), PhaseMatrix(np.float64(0.0)))
+        state = _step(initial_state(0), None)
         assert state.step_count == 1
 
 
@@ -133,14 +133,14 @@ class TestRunTrajectory:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_phase_names_trajectory_and_step(self, bad, monkeypatch):
-        real = PhaseSampler.phases_for_step
+        real = PhaseSampler.fill_window
 
-        def corrupt(self, n, half_width):
+        def corrupt(self, n, out, rows):
+            real(self, n, out, rows)
             if n == 2:
-                return PhaseMatrix(np.float64(bad))
-            return real(self, n, half_width)
+                out[...] = bad
 
-        monkeypatch.setattr(PhaseSampler, "phases_for_step", corrupt)
+        monkeypatch.setattr(PhaseSampler, "fill_window", corrupt)
         cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 4, realizations=8)
         with pytest.raises(InvariantViolationError, match="trajectory 5: norm at step 2"):
             run_trajectory(cfg, 5)
@@ -148,6 +148,26 @@ class TestRunTrajectory:
         with pytest.raises(InvariantViolationError, match="trajectory 0: norm at step 2") as info:
             run_ensemble(cfg)
         assert str(info.value).count("trajectory") == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_two_non_finite_trajectories_name_the_first_in_index_order(self, monkeypatch):
+        # R=8 at N=4 is one group; trajectory 5 goes non-finite at step 2,
+        # and so does trajectory 3, which the group's check must name
+        class CorruptSampler(PhaseSampler):
+            def __init__(self, cfg, k):
+                super().__init__(cfg, k)
+                self.index = k
+
+            def fill_window(self, step, out, rows):
+                super().fill_window(step, out, rows)
+                if step == 2 and self.index in (5, 3):
+                    out[...] = {5: math.nan, 3: math.inf}[self.index]
+
+        monkeypatch.setattr("qwalk2d.evolve.PhaseSampler", CorruptSampler)
+        cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 4, realizations=8)
+        with pytest.raises(InvariantViolationError) as info:
+            run_ensemble(cfg)
+        assert str(info.value).startswith("trajectory 3: norm at step 2 is nan,")
 
     @pytest.mark.parametrize("mode", [DisorderMode.DYNAMICAL_SPATIAL,
                                       DisorderMode.STATIC_SPATIAL])

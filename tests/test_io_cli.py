@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -30,6 +31,7 @@ from qwalk2d.io import (
     parse_zeta,
     read_distribution_csv,
     read_manifest,
+    _ramp_colors,
     render_heatmap_svg,
     write_distribution_csv,
     write_manifest,
@@ -37,7 +39,7 @@ from qwalk2d.io import (
     write_window_csv,
 )
 from reference import read_distribution_csv as reference_read_distribution_csv
-from reference import ref_probs, ref_run, ref_variance
+from reference import ramp_color, ref_probs, ref_run, ref_variance
 
 FIRST_STEP = {(-1, -1): 0.25, (-1, 1): 0.25, (1, -1): 0.25, (1, 1): 0.25}
 
@@ -271,6 +273,44 @@ class TestHeatmap:
         with pytest.raises(InvariantViolationError, match="step 2"):
             render_heatmap_svg(dist, path, log_scale=log_scale)
         assert not path.exists()
+
+    def test_ramp_matches_the_site_by_site_reference(self):
+        # every t = k / 1024 (exact, so the stops 0.25, 0.5 and 0.75 are hit
+        # exactly), t just beside each stop, and t outside [0, 1]
+        stops = [0.0, 0.25, 0.5, 0.75, 1.0]
+        t = np.concatenate([np.arange(1025) / 1024, np.nextafter(stops, -1.0),
+                            np.nextafter(stops, 2.0), [-0.5, 1.5]])
+        assert _ramp_colors(t) == [ramp_color(x) for x in t.tolist()]
+        # among them, red channels that end in .5 and round half to even,
+        # up and down: 68 - 0.5 * 9 = 63.5 at t = 0.125, 59 - 0.25 * 26 = 52.5
+        # at t = 0.3125
+        assert ramp_color(0.125)[1:3] == "40" and ramp_color(0.3125)[1:3] == "34"
+
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
+    def test_site_colors_match_the_reference(self, tmp_path, log_scale):
+        # t is exactly 0, 0.25, 0.5, 0.75 and 1 on either scale, plus every
+        # k / 256 on the linear one
+        if log_scale:
+            probs = [10.0 ** -k for k in range(5)]
+            assert [math.log10(p) for p in probs] == [0.0, -1.0, -2.0, -3.0, -4.0]
+        else:
+            probs = [k / 256 for k in range(1, 257)]
+        half_width = 8
+        sites = [(i, j) for i in range(-half_width, half_width + 1)
+                 for j in range(-half_width, half_width + 1)]
+        dist = make_dist(dict(zip(sites, probs)), half_width)
+        path = tmp_path / "h.svg"
+        render_heatmap_svg(dist, path, log_scale=log_scale)
+        lo, hi = math.log10(min(probs)), math.log10(max(probs))
+        rects = re.findall(r'<rect x="(\d+)" y="(\d+)" width="12" height="12" fill="(#\w+)"/>',
+                           path.read_text())
+        assert len(rects) == len(probs)
+        size = 2 * half_width + 1
+        for x, y, color in rects:
+            u, v = (int(x) - 34) // 12, size - 1 - (int(y) - 34) // 12
+            p = float(dist.probs[u, v])
+            t = (math.log10(p) - lo) / (hi - lo) if log_scale else p / max(probs)
+            assert color == ramp_color(t)
 
     def test_log_scale_changes_output(self, tmp_path):
         dist = make_dist({(0, 0): 0.9, (2, 2): 0.09, (-2, -2): 0.01}, 2)
@@ -864,11 +904,10 @@ class TestCliExitCodes:
                 super().__init__(config, k)
                 self.index = k
 
-            def phases_for_step(self, step, half_width):
-                phases = super().phases_for_step(step, half_width)
+            def fill_window(self, step, out, rows):
+                super().fill_window(step, out, rows)
                 if (self.index, step) == (5, 3):
-                    return type(phases)(np.full_like(phases.values, np.nan))
-                return phases
+                    out[...] = np.nan
 
         monkeypatch.setattr(evolve_mod, "PhaseSampler", NanSampler)
         code = main(["run", "--mode", "dynamical-spatial", "--zeta", "pi", "--steps", "4",
