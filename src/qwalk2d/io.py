@@ -12,12 +12,12 @@ write.  It is also the one artifact read back (by `qwalk2d fit`), into a
 run's per-step sublattice windows, so a row must have i = j = step (mod 2).
 A file made of the lines the writer emits is parsed by np.loadtxt from its
 path, on up to `threads` processes, each parsing a contiguous range of
-its lines with the same call (see forkwrite), and checked once on the
-joined columns; any other file (one with a CR or an empty line, say),
-any file that fails a check or a parsing process, and any file that
-changes during the parse, is read again by the row-by-row parser, which
-alone words a bad row's error.  So both paths accept the same files,
-with the same values, and reject the same files with the same messages.
+its lines with the same call (see forkwrite); any other file (one with a
+CR or an empty line, say), any file that fails a parsing process, and
+any file that changes during the parse, is read again by the row-by-row
+parser.  Both hand their columns to one check (_checked_rows), which
+words the first fault, so both paths accept the same files, with the
+same values, and reject the same files with the same messages.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import os
 import re
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -342,19 +341,16 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parsed_columns(path, threads: int = 1):
-    """The step, i, j and p columns of a file that _checked_columns would
-    accept and whose rows are in the writer's (step, i, j) order, parsed at
-    C speed in up to threads processes and checked on whole arrays; None
-    when the file (_body_lines), the parser, a parsing process, the order
-    or any check fails, or when the file changes during the parse
-    (_stamp).  It words no error: the caller then runs _checked_columns,
-    which does.
+    """The step, i, j and p columns of the file at path, parsed at C speed
+    in up to threads processes and checked by _checked_rows, which words a
+    faulty file's error (row k is on line k + 2: such a file has no empty
+    line); None when the file (_body_lines), the parser or a parsing
+    process fails, or when the file changes during the parse (_stamp).
 
     The body's lines are cut into _part_count contiguous ranges of about
     equal length.  This process parses the first range with _part_rows,
     as a forked helper parses each later one, and reads each helper's
-    records (see forkwrite) straight into their slice of one array; the
-    whole columns are then checked once.
+    records (see forkwrite) straight into their slice of one array.
     """
     stamp = _stamp(path)
     lines = _body_lines(path)
@@ -380,20 +376,7 @@ def _parsed_columns(path, threads: int = 1):
             return None
     except (ValueError, OSError, MemoryError):
         return None
-    step, i, j, p = (rows[name] for name in _CSV_ROW.names)
-    if step.min() != 0 or (p < 0).any():
-        return None
-    # steps are >= 0 from here on, so -step cannot overflow (np.abs can)
-    if ((i < -step) | (i > step) | (j < -step) | (j > step)).any():
-        return None
-    if (((i ^ step) | (j ^ step)) & 1).any():  # off the step's sublattice
-        return None
-    # the writer emits rows in key order, which also rules out a repeated key
-    if not _strictly_increasing(step, i, j):
-        return None
-    if step[-1] != np.count_nonzero(step[1:] != step[:-1]):  # a step is missing
-        return None
-    return step, i, j, p
+    return _checked_rows(path, *(rows[name] for name in _CSV_ROW.names), range(2, lines + 2))
 
 
 def _stamp(path) -> tuple[int, int, int, int]:
@@ -434,19 +417,60 @@ def _write_part_rows(path, lo: int, hi: int, fd: int) -> None:
         out.write(_part_rows(path, lo, hi).data)
 
 
-def _strictly_increasing(s, u, v) -> bool:
-    """Whether each row's key (s, u, v) is lexically greater than the one before."""
+def _repeats(s, u, v) -> np.ndarray:
+    """Whether each row's key (s, u, v) is on an earlier row.  Keys that are
+    each lexically greater than the one before, as the writer emits them,
+    do not repeat; other keys are sorted stably, which keeps equal keys in
+    file order, and every one but the first of equal keys is a repeat."""
     later = v[1:] > v[:-1]
     for a in (u, s):
         later = (a[1:] > a[:-1]) | (a[1:] == a[:-1]) & later
-    return bool(later.all())
+    repeats = np.zeros(len(s), bool)
+    if not later.all():
+        order = np.lexsort((v, u, s))
+        s, u, v = s[order], u[order], v[order]
+        repeats[order[1:]] = (s[1:] == s[:-1]) & (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    return repeats
+
+
+def _checked_rows(path, step, i, j, p, lines, error=None):
+    """The columns step, i, j and p, the keys as int64, of a distributions
+    CSV whose row k is on line lines[k], once every rule holds; the keys
+    may also be Python ints of any size, in object arrays.  Otherwise a
+    ConfigError names the file and the line of the first faulty row, for
+    the first rule it breaks: p >= 0, a key not on an earlier row, a site
+    inside |i|, |j| <= step, then on i = j = step (mod 2).  error, met
+    after the last row, comes next, then the file's rules: some row, all
+    steps within 64 bits and contiguous from 0."""
+    negative, repeated = p < 0, _repeats(step, i, j)
+    # a step below 0 has an empty light cone; from 0 up, -step cannot overflow
+    outside = (step < 0) | (i > step) | (j > step) | (i < -step) | (j < -step)
+    faulty = negative | repeated | outside | (((i ^ step) | (j ^ step)) & 1).astype(bool)
+    if faulty.any():
+        k = int(faulty.argmax())
+        n, site = int(step[k]), f"site ({int(i[k])}, {int(j[k])})"
+        fault = (f"negative p = {float(p[k])!r}" if negative[k] else
+                 f"repeats step {n}, {site}" if repeated[k] else
+                 f"{site} lies outside |i|, |j| <= step {n}" if outside[k] else
+                 f"{site} lies off i = j = step (mod 2) for step {n}")
+        raise ConfigError(f"{path}: line {lines[k]}: {fault}")
+    if error is not None:
+        raise error
+    if not len(step):
+        raise ConfigError(f"{path}: no data rows")
+    if step.max() > np.iinfo(np.int64).max:
+        raise ConfigError(f"{path}: a step does not fit in 64 bits")
+    # every step is >= 0 here, and steps 0..last take at least last + 1 rows
+    if step.max() >= len(step) or not np.bincount(step.astype(np.int64, copy=False)).all():
+        raise ConfigError(f"{path}: steps are not contiguous from 0: {np.unique(step).tolist()}")
+    return (*(a.astype(np.int64, copy=False) for a in (step, i, j)), p)
 
 
 def _checked_columns(path):
-    """The columns of read_distribution_csv, parsed and checked row by row;
-    it words the first fault it meets as a ConfigError naming the file and
-    the line."""
-    rows = {}
+    """The columns of read_distribution_csv, parsed row by row up to the
+    first row that does not parse; _checked_rows words the first fault of
+    the rows before it, or else the parse error."""
+    rows, error = [], None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -458,42 +482,17 @@ def _checked_columns(path):
                     continue  # blank line
                 try:
                     step, i, j, p = row
-                    step, i, j, p = int(step), int(i), int(j), float(p)
+                    rows.append((int(step), int(i), int(j), float(p), reader.line_num))
                 except ValueError:
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num}: expected integers step,i,j "
-                        f"and a float p, got {row}"
-                    ) from None
-                key = (step, i, j)
-                if p < 0:
-                    raise ConfigError(f"{path}: line {reader.line_num}: negative p = {p!r}")
-                if key in rows:
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num}: repeats step {step}, site ({i}, {j})"
-                    )
-                if abs(i) > step or abs(j) > step:
-                    raise ConfigError(
-                        f"{path}: line {reader.line_num}: site ({i}, {j}) "
-                        f"lies outside |i|, |j| <= step {step}"
-                    )
-                if (i - step) % 2 or (j - step) % 2:
-                    raise ConfigError(f"{path}: line {reader.line_num}: site ({i}, {j}) "
-                                      f"lies off i = j = step (mod 2) for step {step}")
-                rows[key] = p
+                    error = ConfigError(f"{path}: line {reader.line_num}: expected integers "
+                                        f"step,i,j and a float p, got {row}")
+                    break
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+            error = ConfigError(f"{path}: not {exc.encoding} text ({exc.reason})")
         except csv.Error as exc:  # a field past csv's size limit, say
-            raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    try:
-        keys = np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(rows)).reshape(-1, 3)
-    except OverflowError:
-        raise ConfigError(f"{path}: a step does not fit in 64 bits") from None
-    steps = np.unique(keys[:, 0])
-    if not np.array_equal(steps, np.arange(len(steps))):
-        raise ConfigError(f"{path}: steps are not contiguous from 0: {steps.tolist()}")
-    return (*keys.T, np.fromiter(rows.values(), float, len(rows)))
+            error = ConfigError(f"{path}: line {reader.line_num}: {exc}")
+    step, i, j, p, lines = np.array(rows, dtype=object).reshape(-1, 5).T
+    return _checked_rows(path, step, i, j, p.astype(float), lines, error)
 
 
 def read_distribution_windows(path, threads: int = 1) -> list[np.ndarray]:
@@ -504,8 +503,8 @@ def read_distribution_windows(path, threads: int = 1) -> list[np.ndarray]:
     skipped.  Steps must run from 0 with none missing, each (step, i, j)
     may appear once, where a walk can be: |i|, |j| <= step and i = j =
     step (mod 2); no p may be negative.  A ConfigError names the file, and
-    the line of a bad row, which only the row-by-row reader words: the
-    file is parsed on up to threads processes first (_parsed_columns).
+    the line of the first bad row (_checked_rows); a file as the writer
+    emits it is parsed on up to threads processes (_parsed_columns).
     """
     columns = _parsed_columns(path, threads) or _checked_columns(path)
     try:

@@ -15,6 +15,7 @@ import qwalk2d.io as io
 from qwalk2d import DisorderConfig, DisorderMode, Distribution2D, run_ensemble
 from qwalk2d.cli import main
 from qwalk2d.errors import ConfigError
+from reference import read_distribution_csv as reference_read_distribution_csv
 
 
 def windows_of(mode, steps=9, realizations=3):
@@ -283,6 +284,33 @@ class TestParsedInParts:
         monkeypatch.delattr(os, "fork")
         assert same_columns(io._parsed_columns(long_csv, 3), one)
         assert forks == []
+
+    # an edit of row 70,000 of the N=60 file, which lies in the second
+    # helper's range of three
+    @pytest.mark.parametrize("edit", ["negative-p", "repeat"])
+    def test_fault_in_a_helpers_range_is_worded_by_the_fast_path(self, long_csv, tmp_path,
+                                                                  forks, monkeypatch, edit):
+        header, *rows = long_csv.read_text().splitlines()
+        if edit == "negative-p":
+            head, p = rows[70_000].rsplit(",", 1)
+            rows[70_000] = f"{head},-{p}"
+        else:  # row 60,000 again, before row 70,000
+            rows.insert(70_000, rows[60_000])
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ConfigError) as want:
+            reference_read_distribution_csv(path)
+        assert str(want.value).startswith(f"{path}: line 70002: ")
+
+        def unreachable(path):
+            raise AssertionError("the fast path sent the file row by row")
+
+        monkeypatch.setattr(io, "_checked_columns", unreachable)
+        with pytest.raises(ConfigError) as got:
+            io.read_distribution_windows(path, 3)
+        assert str(got.value) == str(want.value)
+        assert len(forks) == 2 and forks[1][1] <= 70_000 < forks[1][2]
+        assert_no_child_left()
 
     @pytest.mark.usefixtures("split_everything")
     def test_more_threads_than_rows_make_no_empty_part_and_no_warning(self, tmp_path, forks,

@@ -23,6 +23,7 @@ from qwalk2d.cli import main
 from qwalk2d.errors import ConfigError
 from qwalk2d.io import (
     RunManifest,
+    _checked_columns,
     _parsed_columns,
     build_result_document,
     manifest_from_pairs,
@@ -221,13 +222,17 @@ class TestDistributionCsv:
         for want, got in zip(back, reference_read_distribution_csv(path)):
             assert got.probs.tobytes() == want.probs.tobytes()
 
-    def test_rows_out_of_key_order_read_the_same_grids_row_by_row(self, tmp_path):
+    def test_rows_out_of_key_order_read_the_same_grids_on_both_paths(self, tmp_path):
         dists = [make_dist({(0, 0): 1.0}, 1, step=0), make_dist(FIRST_STEP, 1, step=1)]
         path, reversed_path = tmp_path / "d.csv", tmp_path / "reversed.csv"
         write_distribution_csv(dists, path)
         header, *rows = path.read_text().splitlines()
         reversed_path.write_text("\n".join([header, *reversed(rows)]) + "\n")
-        assert _parsed_columns(reversed_path) is None
+        # no rule asks for the writer's row order, so the fast path takes the file
+        fast, row_by_row = (
+            [(a.dtype, a.tobytes()) for a in columns(reversed_path)]
+            for columns in (_parsed_columns, _checked_columns))
+        assert fast == row_by_row
         for want, got in zip(read_distribution_csv(path), read_distribution_csv(reversed_path)):
             assert got.step == want.step and got.half_width == want.half_width
             assert got.probs.tobytes() == want.probs.tobytes()
@@ -594,8 +599,11 @@ class TestCliFitInput:
         ("0,0,0,2.0\n0,5,0,-1.0", "negative"),
         ("0,0,0,1.0\n1,1,0,1.0", "site (1, 0) lies off i = j = step (mod 2) for step 1"),
         ('0,0,0,1.0\n1,1,0,"1.0"', "site (1, 0) lies off i = j = step (mod 2) for step 1"),
+        # -step wraps to step in int64, so only the sign rules out this cone
+        (f"0,0,0,1.0\n{-2**63},{-2**63},{-2**63},0.0",
+         f"site ({-2**63}, {-2**63}) lies outside |i|, |j| <= step {-2**63}"),
     ], ids=["negative-p", "repeated-row", "outside-light-cone", "negative-p-outside",
-            "off-parity", "off-parity-row-by-row"])
+            "off-parity", "off-parity-row-by-row", "int64-min-step"])
     def test_invalid_row_is_config_error(self, tmp_path, capsys, rows, reason):
         # each file sums to 1 per step, so only the row check can catch it;
         # a quoted field sends the file straight to the row-by-row reader

@@ -292,6 +292,9 @@ FIELD_EDITS = {
     # (written through surrogateescape)
     "file separator": lambda f: f + "\x1c",
     "byte 0xa0": lambda f: f + "\udca0",
+    # integers past int64, which int() parses and np.loadtxt does not
+    "past int64": lambda f: str(2**64),
+    "below int64": lambda f: str(-2**64 - 1),
 }
 
 
