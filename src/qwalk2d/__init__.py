@@ -4,8 +4,8 @@ Trajectories evolve pure states with per-step random phase kicks; ensembles
 average them with reproducible seeding; a dense density-matrix oracle
 evolves the exact phase-averaged channel on small lattices for validation.
 
-The top level holds the library API: run a walk, merge and analyse its
-results, and catch its errors.  The step kernels live in qwalk2d.state, the
+The top level holds the library API: run a walk, analyse its results,
+and catch its errors.  The step kernels live in qwalk2d.state, the
 phase sampler in qwalk2d.disorder and the full-grid oracle step in
 qwalk2d.evolve.
 """
@@ -18,7 +18,7 @@ from .analysis import (
     variance_series,
 )
 from .disorder import DisorderConfig, DisorderMode
-from .ensemble import merge_results, run_ensemble
+from .ensemble import run_ensemble
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -45,7 +45,6 @@ __all__ = [
     "exact_run",
     "fit_localization",
     "fit_scaling_exponent",
-    "merge_results",
     "run_ensemble",
     "run_trajectory",
     "variance_series",

@@ -1,10 +1,11 @@
 """Monte-Carlo ensemble runner: R independent trajectories, averaged.
 
-Trajectories are seeded from (master_seed, trajectory_index) only, so the
-result does not depend on scheduling.  Reduction walks fixed-size chunks of
-trajectory indices in ascending order; the chunk layout depends only on the
-index range, never on the worker count, so a run is bitwise reproducible
-for any number of workers.
+A run averages trajectories 0..R-1, every one of the config's
+realizations; no run covers part of an ensemble.  Trajectories are seeded
+from (master_seed, trajectory_index) only, so the result does not depend on
+scheduling.  Reduction walks fixed-size chunks of trajectory indices in
+ascending order; the chunk layout depends only on R, never on the worker
+count, so a run is bitwise reproducible for any number of workers.
 
 A chunk runs its trajectories in groups, each through one
 evolve.add_trajectories call.  The group width is derived from the step
@@ -61,16 +62,11 @@ GROUP_BYTES = 1 << 20
 
 @dataclass
 class EnsembleResult(WalkResult):
-    """A WalkResult whose windows are the ensemble averages of the
-    trajectories in traj_ranges, plus what merge_results needs to combine
-    it with others: those ranges and each trajectory's variance series."""
+    """A WalkResult whose windows are the ensemble averages of trajectories
+    0..R-1, plus each trajectory's variance series, one row per trajectory,
+    from which variance_stderr comes."""
 
-    traj_ranges: list[tuple[int, int]]
     per_trajectory_variances: np.ndarray
-
-    @property
-    def trajectory_count(self) -> int:
-        return sum(stop - start for start, stop in self.traj_ranges)
 
 
 def _group_width(n_steps: int) -> int:
@@ -152,9 +148,8 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
     return start, window_sums, var_rows
 
 
-def run_ensemble(config: DisorderConfig, threads: int = 1,
-                 traj_start: int = 0, traj_stop: int | None = None) -> EnsembleResult:
-    """Average trajectories traj_start..traj_stop-1 (default 0..R-1).
+def run_ensemble(config: DisorderConfig, threads: int = 1) -> EnsembleResult:
+    """Average trajectories 0..R-1.
 
     Chunks fan out to processes = min(threads, chunks) worker processes;
     one process runs them in-process (the reference path).  Each chunk runs
@@ -166,105 +161,46 @@ def run_ensemble(config: DisorderConfig, threads: int = 1,
     too large to hold fails with a ConfigError before any trajectory runs
     or worker starts.
     """
-    stop = config.realizations if traj_stop is None else traj_stop
-    for name, value in (("threads", threads), ("traj_start", traj_start), ("traj_stop", stop)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+        raise ConfigError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if not 0 <= traj_start < stop:
-        raise ConfigError(f"empty or negative trajectory range [{traj_start}, {stop})")
-    if stop > config.realizations:
-        raise ConfigError(
-            f"trajectory range [{traj_start}, {stop}) exceeds realizations={config.realizations}"
-        )
+    count = config.realizations
     mean = zero_windows(config.steps)
-    per_traj_var = zeroed_array((stop - traj_start, config.steps + 1), "variance array",
-                                f"trajectories {traj_start}..{stop - 1}")
-    starts = range(traj_start, stop, CHUNK_SIZE)
+    per_traj_var = zeroed_array((count, config.steps + 1), "variance array",
+                                f"trajectories 0..{count - 1}")
+    starts = range(0, count, CHUNK_SIZE)
     processes = min(threads, len(starts))
-    chunk_args = ((config, a, min(a + CHUNK_SIZE, stop), threads // processes) for a in starts)
+    chunk_args = ((config, a, min(a + CHUNK_SIZE, count), threads // processes) for a in starts)
     if processes == 1:  # the first chunk sums into mean itself
-        chunks = map(_run_chunk, chunk_args, chain([mean], repeat(None)))
-        _sum_chunks(chunks, mean, per_traj_var, traj_start)
+        _sum_chunks(map(_run_chunk, chunk_args, chain([mean], repeat(None))), mean, per_traj_var)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            _sum_chunks(pool.map(_run_chunk, chunk_args), mean, per_traj_var, traj_start)
-    for window in mean:
-        window /= stop - traj_start
-    return _finalize(config, [(traj_start, stop)], mean, per_traj_var)
+            _sum_chunks(pool.map(_run_chunk, chunk_args), mean, per_traj_var)
+    for n, window in enumerate(mean):
+        window /= count
+        check_unit_total(window.sum(), f"averaged distribution sum at step {n}")
+    if count > 1:
+        stderr = per_traj_var.std(axis=0, ddof=1) / np.sqrt(count)
+    else:
+        stderr = np.zeros(config.steps + 1)
+    return EnsembleResult(config, mean, window_variances(mean, config.steps), stderr,
+                          per_traj_var)
 
 
-def _sum_chunks(chunk_results, window_sums: list[np.ndarray], per_traj_var: np.ndarray,
-                start: int) -> None:
+def _sum_chunks(chunk_results, window_sums: list[np.ndarray], per_traj_var: np.ndarray) -> None:
     """Add chunk results into the zeroed window_sums in chunk order, each as
     it arrives, so only the sums and one chunk's sums are held, and write
-    each chunk's variance rows into per_traj_var, whose row 0 is trajectory
-    start.  The first chunk's sums are added to zeros, which leaves their
-    bits as they are: 0.0 + x is x for every x >= 0.  So a first chunk
-    that summed into window_sums itself (run_ensemble in-process) is not
-    added again and gives the same bits."""
+    each chunk's variance rows into per_traj_var, whose row k is trajectory
+    k.  The first chunk's sums are added to zeros, which leaves their bits
+    as they are: 0.0 + x is x for every x >= 0.  So a first chunk that
+    summed into window_sums itself (run_ensemble in-process) is not added
+    again and gives the same bits."""
     row = 0
     for chunk_start, chunk_sums, var_rows in chunk_results:
-        assert chunk_start == start + row, "chunk reduction out of order"
+        assert chunk_start == row, "chunk reduction out of order"
         per_traj_var[row:row + len(var_rows)] = var_rows
         row += len(var_rows)
         if chunk_sums is not window_sums:
             for total, part in zip(window_sums, chunk_sums):
                 total += part
-
-
-def _finalize(config: DisorderConfig, ranges: list[tuple[int, int]],
-              mean: list[np.ndarray], per_traj_var: np.ndarray) -> EnsembleResult:
-    count = per_traj_var.shape[0]
-    for n, window in enumerate(mean):
-        check_unit_total(window.sum(), f"averaged distribution sum at step {n}")
-    if count > 1:
-        stderr = per_traj_var.std(axis=0, ddof=1) / np.sqrt(count)
-    else:
-        stderr = np.zeros(per_traj_var.shape[1])
-    return EnsembleResult(config, mean, window_variances(mean, config.steps),
-                          stderr, ranges, per_traj_var)
-
-
-def merge_results(partials: list[EnsembleResult]) -> EnsembleResult:
-    """Combine partial ensembles over disjoint trajectory-index ranges.
-
-    Partials must share an identical config; their ranges are merged in
-    ascending index order regardless of list order, so a partial may fill
-    a gap between another's ranges and the result does not depend on the
-    list order.  Step n's merged window is sum_p count_p window_p / total,
-    over the partials in ascending range order.  The merged means match a
-    single run over the same trajectories within 1e-12, but not bit for
-    bit: summing partial totals groups the additions differently from one
-    run's chunk order (up to 3.6e-15 apart at R=128, N=8).
-    """
-    if not partials:
-        raise ConfigError("nothing to merge")
-    config = partials[0].config
-    for part in partials[1:]:
-        if part.config != config:
-            raise ConfigError("cannot merge ensembles with different configs")
-    pieces = []  # every partial's ranges, each with its variance rows
-    for part in partials:
-        row = 0
-        for start, stop in part.traj_ranges:
-            pieces.append((start, stop, part.per_trajectory_variances[row:row + stop - start]))
-            row += stop - start
-    pieces.sort(key=lambda piece: piece[0])
-    ranges: list[tuple[int, int]] = []
-    for start, stop, _ in pieces:
-        if ranges and start < ranges[-1][1]:
-            raise ConfigError(
-                f"overlapping trajectory ranges: [{start}, {stop}) after {ranges[-1]}"
-            )
-        if ranges and start == ranges[-1][1]:
-            ranges[-1] = (ranges[-1][0], stop)
-        else:
-            ranges.append((start, stop))
-    parts = sorted(partials, key=lambda p: p.traj_ranges[0][0])
-    total = sum(p.trajectory_count for p in parts)
-    mean = [sum(p.trajectory_count * p.windows[n] for p in parts) / total
-            for n in range(config.steps + 1)]
-    per_traj_var = np.concatenate([rows for _, _, rows in pieces], axis=0)
-    return _finalize(config, ranges, mean, per_traj_var)

@@ -10,10 +10,11 @@ up to `threads` processes, each formatting a contiguous range of steps with
 the same function (see forkwrite), so the bytes are those of a serial
 write.  It is also the one artifact read back (by `qwalk2d fit`), into a
 run's per-step sublattice windows, so a row must have i = j = step (mod 2).
-A file made of the lines the writer emits is parsed by np.loadtxt from its
-path, on up to `threads` processes, each parsing a contiguous range of
-its lines with the same call (see forkwrite); any other file (one with a
-CR or an empty line, say), any file that fails a parsing process, and
+A file made of the lines the writer emits, or of those lines ending in
+CR LF, is parsed by np.loadtxt from its path, on up to `threads`
+processes, each parsing a contiguous range of its lines with the same
+call (see forkwrite); any other file (one with a lone CR or an empty
+line, say), any file that fails a parsing process, and
 any file that changes during the parse, is read again by the row-by-row
 parser.  Both hand their columns to one check (_checked_rows), which
 words the first fault, so both paths accept the same files, with the
@@ -325,11 +326,12 @@ def _step_rows(entry) -> str:
 
 _CSV_ROW = np.dtype([("step", "i8"), ("i", "i8"), ("j", "i8"), ("p", "f8")])
 # the bytes of a file body the fast path parses: everything the writer emits,
-# plus spaces and tabs.  np.loadtxt reads some other bytes where int() and
-# float() do not (\x1c-\x1f as spaces, and non-ASCII bytes as latin-1 even
-# where they are not valid text), and a path's text mode ends a line at a
-# lone CR, so a file holding any other byte is read row by row.
-_FAST_BYTES = b"0123456789+-.eE, \t\n"
+# plus spaces, tabs and CRs.  np.loadtxt reads some other bytes where int()
+# and float() do not (\x1c-\x1f as spaces, and non-ASCII bytes as latin-1
+# even where they are not valid text), so a file holding any other byte is
+# read row by row.  A path's text mode reads CR LF as LF but ends a line at
+# a lone CR, so _body_lines takes a CR only right before an LF.
+_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 # what is left of a file with the header and a body of _FAST_BYTES when the
 # _FAST_BYTES are taken out: the header's letters
 _HEADER_LETTERS = _CSV_HEADER.encode().translate(None, _FAST_BYTES)
@@ -390,15 +392,19 @@ def _body_lines(path) -> int | None:
     """The number of lines after the header of the file at path, when
     np.loadtxt, reading the file from its path, parses the lines that
     _checked_columns reads: the header line is `step,i,j,p`, every byte
-    after it is one of _FAST_BYTES, no line is empty and the last one
-    ends in a line break (max_rows counts no empty line, while skiprows
-    does), and the file's name has none of _COMPRESSED_SUFFIXES.  None
-    for any other file."""
+    after it is one of _FAST_BYTES, every CR comes right before an LF, no
+    line is empty and the last one ends in a line break (max_rows counts
+    no empty line, while skiprows does), and the file's name has none of
+    _COMPRESSED_SUFFIXES.  None for any other file."""
     if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
         return None
     data = Path(path).read_bytes()
-    if (not data.startswith(_CSV_HEADER.encode() + b"\n") or not data.endswith(b"\n")
+    header = _CSV_HEADER.encode()
+    if (not data.startswith((header + b"\n", header + b"\r\n")) or not data.endswith(b"\n")
             or b"\n\n" in data or data.translate(None, _FAST_BYTES) != _HEADER_LETTERS):
+        return None
+    # one memchr pass spares a file with no CR the slower counts
+    if b"\r" in data and (data.count(b"\r") != data.count(b"\r\n") or b"\n\r\n" in data):
         return None
     return data.count(b"\n") - 1
 

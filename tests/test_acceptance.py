@@ -226,9 +226,9 @@ def test_criterion_8c_thread_count_invariance():
         base = run_ensemble(cfg, threads=1)
         for threads in (2, 4, 8):
             other = run_ensemble(cfg, threads=threads)
-            assert np.abs(other.probabilities - base.probabilities).max() <= 1e-12
-            assert np.abs(other.variances - base.variances).max() <= 1e-12
-            assert np.abs(other.variance_stderr - base.variance_stderr).max() <= 1e-12
+            assert np.array_equal(other.probabilities, base.probabilities)
+            assert np.array_equal(other.variances, base.variances)
+            assert np.array_equal(other.variance_stderr, base.variance_stderr)
 
 
 def test_criterion_8d_support_and_parity(all_ensembles):

@@ -325,13 +325,29 @@ class TestParsedInParts:
         assert own_parts == [(0, 1), (0, 2)]
         assert_no_child_left()
 
+    # a path's text mode reads each CR LF as LF, so np.loadtxt sees the
+    # lines of the LF file
     @pytest.mark.usefixtures("split_everything")
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("\n", "\r\n"),
         lambda text: text.replace("\n", "\r\n").replace("\r\n", "\n", 1),
+    ], ids=["crlf", "crlf-body"])
+    def test_crlf_line_ends_take_the_fast_path(self, tmp_path, forks, edit):
+        path, crlf = tmp_path / "d.csv", tmp_path / "crlf.csv"
+        io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path)
+        want = io._parsed_columns(path, 3)
+        forks.clear()
+        crlf.write_text(edit(path.read_text()), newline="")
+        assert same_columns(io._parsed_columns(crlf, 3), want)
+        assert [args[0] for args in forks] == [crlf, crlf]
+
+    @pytest.mark.usefixtures("split_everything")
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n").replace("\r\n1,", "\r\r\n1,", 1),
+        lambda text: text.replace("\n", "\r\n").replace("\r\n1,", "\r\n\r\n1,", 1),
         lambda text: text.replace("\n1,", "\n\n1,", 1),
         lambda text: text[:-1],
-    ], ids=["crlf", "crlf-body", "blank-line", "no-final-newline"])
+    ], ids=["lone-cr", "blank-crlf-line", "blank-line", "no-final-newline"])
     def test_other_line_breaks_are_read_row_by_row(self, tmp_path, forks, edit):
         path = tmp_path / "d.csv"
         io.write_window_csv(windows_of(DisorderMode.DYNAMICAL_SPATIAL), path)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import math
 import threading
 import tracemalloc
@@ -15,7 +16,6 @@ from qwalk2d import (
     InvariantViolationError,
     TrajectoryFailure,
     exact_run,
-    merge_results,
     run_ensemble,
     run_trajectory,
     variance_series,
@@ -64,11 +64,27 @@ class TestRunEnsemble:
         with pytest.raises(ConfigError):
             run_ensemble(config(), threads=0)
 
-    def test_bad_ranges_rejected(self):
-        with pytest.raises(ConfigError):
-            run_ensemble(config(realizations=8), traj_start=4, traj_stop=4)
-        with pytest.raises(ConfigError):
-            run_ensemble(config(realizations=8), traj_stop=9)
+    # the count is checked before the mean or the variance rows are allocated
+    @pytest.mark.parametrize("value", [0, -1, np.int64(0)], ids=["zero", "negative", "np-zero"])
+    def test_thread_count_below_one_is_config_error(self, monkeypatch, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the thread count check")
+
+        monkeypatch.setattr(ensemble, "zero_windows", refuse)
+        monkeypatch.setattr(ensemble, "zeroed_array", refuse)
+        with pytest.raises(ConfigError, match=f"threads must be >= 1, got {value}"):
+            run_ensemble(config(realizations=4), threads=value)
+
+    def test_signature_is_config_and_threads(self):
+        params = inspect.signature(run_ensemble).parameters
+        assert list(params) == ["config", "threads"]
+        assert params["threads"].default == 1
+
+    # a run always covers trajectories 0..R-1; there is no range to ask for
+    @pytest.mark.parametrize("keyword", ["traj_start", "traj_stop"])
+    def test_range_keywords_are_not_accepted(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            run_ensemble(config(realizations=4), **{keyword: 0})
 
     def test_failing_trajectory_reports_its_index(self, monkeypatch):
         class FailingSampler(PhaseSampler):
@@ -153,16 +169,17 @@ class TestRunEnsemble:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_average_rejected(self, bad):
-        from qwalk2d.ensemble import _finalize
+    def test_non_finite_average_rejected(self, monkeypatch, bad):
+        run_chunk = ensemble._run_chunk
 
-        cfg = config(steps=2, realizations=1)
-        mean = evolve.zero_windows(2)
-        for window in mean:
-            window[0, 0] = 1.0
-        mean[1][0, 0] = bad
+        def poisoned(args, window_sums=None):
+            start, sums, rows = run_chunk(args, window_sums)
+            sums[1][0, 0] = bad
+            return start, sums, rows
+
+        monkeypatch.setattr(ensemble, "_run_chunk", poisoned)
         with pytest.raises(InvariantViolationError, match="step 1"):
-            _finalize(cfg, [(0, 1)], mean, np.zeros((1, 3)))
+            run_ensemble(config(steps=2, realizations=1))
 
 
 def reference_chunk(cfg, start, stop):
@@ -293,18 +310,79 @@ class TestBatchedChunk:
                                       np.concatenate([lo_rows, hi_rows]))
 
 
+class TestChunkReduction:
+    """A run is its chunks of CHUNK_SIZE trajectories, reduced in chunk
+    order, whatever R is and however many workers run them."""
+
+    # one trajectory, a partial chunk, one full chunk, one past it, two full
+    @pytest.mark.parametrize("realizations", [1, 31, 32, 33, 64],
+                             ids=["one", "partial", "full", "one-past", "two-full"])
+    def test_chunk_boundaries_match_the_one_at_a_time_reduction(self, realizations):
+        cfg = config(realizations=realizations, seed=21)
+        ens = run_ensemble(cfg)
+        total, rows = None, []
+        for start in range(0, realizations, ensemble.CHUNK_SIZE):
+            part, part_rows = reference_chunk(
+                cfg, start, min(start + ensemble.CHUNK_SIZE, realizations))
+            total = part if total is None else total + part
+            rows.append(part_rows)
+        np.testing.assert_array_equal(ens.probabilities, total / realizations)
+        np.testing.assert_array_equal(ens.per_trajectory_variances, np.concatenate(rows))
+
+    # R=70 is three chunks; at threads=3 each runs in a pool worker
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_row_k_is_trajectory_k(self, threads):
+        cfg = config(realizations=70, seed=8)
+        rows = run_ensemble(cfg, threads=threads).per_trajectory_variances
+        assert rows.shape == (70, cfg.steps + 1)
+        for k in range(70):
+            want = variance_series(run_trajectory(cfg, k).probabilities, cfg.steps)
+            np.testing.assert_array_equal(rows[k], want)
+
+    def test_variance_stderr_is_the_spread_of_the_rows(self):
+        ens = run_ensemble(config(realizations=40, seed=4))
+        rows = ens.per_trajectory_variances
+        np.testing.assert_array_equal(ens.variance_stderr,
+                                      rows.std(axis=0, ddof=1) / np.sqrt(40))
+
+    @staticmethod
+    def chunk(start, rows, value):
+        """A fake chunk result: two one-site windows holding value, and
+        rows variance rows of two steps numbered from start."""
+        var_rows = np.arange(start, start + rows, dtype=float)[:, None].repeat(2, axis=1)
+        return start, [np.full((1, 1), value), np.full((1, 1), 2 * value)], var_rows
+
+    def test_sum_chunks_adds_in_chunk_order_and_places_rows(self):
+        sums = [np.zeros((1, 1)), np.zeros((1, 1))]
+        rows = np.full((7, 2), -1.0)
+        ensemble._sum_chunks([self.chunk(0, 3, 0.5), self.chunk(3, 3, 0.25),
+                              self.chunk(6, 1, 0.125)], sums, rows)
+        assert [float(w[0, 0]) for w in sums] == [0.875, 1.75]
+        np.testing.assert_array_equal(rows, np.arange(7.0)[:, None].repeat(2, axis=1))
+
+    def test_a_first_chunk_that_is_the_sums_is_not_added_again(self):
+        start, sums, var_rows = self.chunk(0, 2, 0.5)
+        rows = np.empty((3, 2))
+        ensemble._sum_chunks([(start, sums, var_rows), self.chunk(2, 1, 0.25)], sums, rows)
+        assert [float(w[0, 0]) for w in sums] == [0.75, 1.5]
+
+    @pytest.mark.parametrize("starts", [(2, 0), (0, 3), (0, 0)],
+                             ids=["swapped", "gap", "repeated"])
+    def test_sum_chunks_rejects_chunks_out_of_order(self, starts):
+        sums = [np.zeros((1, 1)), np.zeros((1, 1))]
+        rows = np.empty((6, 2))
+        with pytest.raises(AssertionError, match="out of order"):
+            ensemble._sum_chunks([self.chunk(start, 2, 1.0) for start in starts], sums, rows)
+
+
 class TestParallelDeterminism:
     # R=70: three chunks, the last one ragged, so two workers share them;
-    # the shard [7, 70) has two chunks, neither aligned to a multiple of 32
-    @pytest.mark.parametrize("start,stop", [(0, 70), (7, 70)], ids=["full", "shard"])
-    def test_identical_results_for_1_2_4_8_workers(self, start, stop):
+    # threads=1 runs the serial path again
+    def test_identical_results_for_1_2_4_8_workers(self):
         cfg = config(realizations=70)
-        base = run_ensemble(cfg, threads=1, traj_start=start, traj_stop=stop)
-        full = run_ensemble(cfg, threads=1)
-        np.testing.assert_array_equal(base.per_trajectory_variances,
-                                      full.per_trajectory_variances[start:stop])
-        for threads in (2, 4, 8):
-            other = run_ensemble(cfg, threads=threads, traj_start=start, traj_stop=stop)
+        base = run_ensemble(cfg, threads=1)
+        for threads in (1, 2, 4, 8):
+            other = run_ensemble(cfg, threads=threads)
             np.testing.assert_array_equal(other.probabilities,
                                           base.probabilities)
             np.testing.assert_array_equal(other.variances, base.variances)
@@ -314,14 +392,12 @@ class TestParallelDeterminism:
                                           base.per_trajectory_variances)
 
     # at N=60 a group is 8 trajectories: R=32 is one chunk of 4 groups, run
-    # on min(threads, 4) lanes, and so is the unaligned shard [5, 37)
-    @pytest.mark.parametrize("realizations,start,stop", [(32, 0, 32), (37, 5, 37)],
-                             ids=["one-chunk", "shard"])
-    def test_identical_results_for_1_2_3_8_lanes(self, realizations, start, stop):
-        cfg = config(steps=60, realizations=realizations)
-        base = run_ensemble(cfg, threads=1, traj_start=start, traj_stop=stop)
+    # on min(threads, 4) lanes
+    def test_identical_results_for_1_2_3_8_lanes(self):
+        cfg = config(steps=60, realizations=32)
+        base = run_ensemble(cfg, threads=1)
         for threads in (2, 3, 8):
-            other = run_ensemble(cfg, threads=threads, traj_start=start, traj_stop=stop)
+            other = run_ensemble(cfg, threads=threads)
             np.testing.assert_array_equal(other.probabilities, base.probabilities)
             np.testing.assert_array_equal(other.variances, base.variances)
             np.testing.assert_array_equal(other.variance_stderr, base.variance_stderr)
@@ -380,11 +456,8 @@ class TestParallelDeterminism:
                                       run_ensemble(cfg, threads=1).probabilities)
         assert made == {"processes": pools, "threads": helpers}
 
-    @pytest.mark.parametrize("name,value", [
-        ("threads", 2.0), ("threads", "2"), ("threads", True), ("threads", None),
-        ("traj_start", 0.0), ("traj_start", False), ("traj_stop", 4.0), ("traj_stop", "4"),
-        ("traj_stop", True)])
-    def test_non_integer_threads_or_range_is_config_error(self, monkeypatch, name, value):
+    @pytest.mark.parametrize("value", [2.0, "2", True, None])
+    def test_non_integer_threads_is_config_error(self, monkeypatch, value):
         made = []
 
         def refuse(what):
@@ -396,15 +469,14 @@ class TestParallelDeterminism:
         for module, what in ((concurrent.futures, "ProcessPoolExecutor"), (threading, "Thread"),
                              (ensemble, "zero_windows"), (ensemble, "zeroed_array")):
             monkeypatch.setattr(module, what, refuse(what))
-        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
-            run_ensemble(config(realizations=4), **{name: value})
+        with pytest.raises(ConfigError, match=f"threads must be an integer, got {value!r}"):
+            run_ensemble(config(realizations=4), threads=value)
         assert made == []
 
-    def test_numpy_integer_threads_and_range_are_accepted(self):
+    def test_numpy_integer_threads_are_accepted(self):
         cfg = config(realizations=4)
-        want = run_ensemble(cfg, threads=1, traj_start=1, traj_stop=3)
-        got = run_ensemble(cfg, threads=np.int64(1), traj_start=np.int64(1),
-                           traj_stop=np.int64(3))
+        want = run_ensemble(cfg, threads=1)
+        got = run_ensemble(cfg, threads=np.int64(1))
         np.testing.assert_array_equal(got.probabilities, want.probabilities)
         np.testing.assert_array_equal(got.per_trajectory_variances,
                                       want.per_trajectory_variances)
@@ -445,93 +517,9 @@ class TestWindowVariances:
     def test_trajectory(self):
         self.assert_dense_variances(run_trajectory(self.CFG, 5))
 
-    def test_merge(self):
-        self.assert_dense_variances(merge_results([
-            run_ensemble(self.CFG, traj_start=3, traj_stop=8),
-            run_ensemble(self.CFG, traj_start=0, traj_stop=3)]))
-
     @pytest.mark.parametrize("mode", [DisorderMode.NONE, DisorderMode.DYNAMICAL_SPATIAL,
                                       DisorderMode.DYNAMICAL_UNIFORM])
     def test_exact_run(self, mode):
         self.assert_dense_variances(exact_run(config(mode, math.pi / 2, steps=20,
                                                      realizations=1)))
 
-
-class TestMerge:
-    def test_merged_windows_are_the_count_weighted_sum_in_range_order(self):
-        cfg = config(realizations=64, seed=9)
-        a = run_ensemble(cfg, traj_start=0, traj_stop=24)
-        gap = run_ensemble(cfg, traj_start=24, traj_stop=40)
-        b = run_ensemble(cfg, traj_start=40, traj_stop=64)
-        merged = merge_results([b, gap, a])
-        assert len(merged.windows) == cfg.steps + 1
-        for n, window in enumerate(merged.windows):
-            np.testing.assert_array_equal(
-                window, (24 * a.windows[n] + 16 * gap.windows[n] + 24 * b.windows[n]) / 64)
-        # the same arithmetic on the dense stacks, site by site
-        np.testing.assert_array_equal(
-            merged.probabilities,
-            (24 * a.probabilities + 16 * gap.probabilities + 24 * b.probabilities) / 64)
-
-    def test_merge_of_single_partial_is_identity(self):
-        full = run_ensemble(config())
-        merged = merge_results([full])
-        np.testing.assert_array_equal(merged.probabilities,
-                                      full.probabilities)
-        assert merged.traj_ranges == full.traj_ranges
-
-    def test_split_merge_equals_full_run(self):
-        cfg = config(realizations=100, seed=21)
-        full = run_ensemble(cfg)
-        lo = run_ensemble(cfg, traj_start=0, traj_stop=47)
-        hi = run_ensemble(cfg, traj_start=47, traj_stop=100)
-        merged = merge_results([hi, lo])   # order must not matter
-        assert merged.traj_ranges == [(0, 100)]
-        assert merged.trajectory_count == 100
-        np.testing.assert_allclose(merged.probabilities,
-                                   full.probabilities, atol=1e-12)
-        np.testing.assert_allclose(merged.variances, full.variances, atol=1e-12)
-        np.testing.assert_allclose(merged.variance_stderr,
-                                   full.variance_stderr, atol=1e-12)
-
-    def test_disjoint_ranges_with_gap_allowed(self):
-        cfg = config(realizations=64)
-        a = run_ensemble(cfg, traj_start=0, traj_stop=24)
-        b = run_ensemble(cfg, traj_start=40, traj_stop=64)
-        merged = merge_results([b, a])
-        assert merged.traj_ranges == [(0, 24), (40, 64)]
-        assert merged.trajectory_count == 48
-        sums = merged.probabilities.sum(axis=(1, 2))
-        assert np.abs(sums - 1.0).max() <= 1e-9
-
-    @pytest.mark.parametrize("gap_first", [False, True])
-    def test_partial_may_fill_the_gap_of_another(self, gap_first):
-        cfg = config(realizations=64)
-        full = run_ensemble(cfg)
-        a = run_ensemble(cfg, traj_start=0, traj_stop=24)
-        gap = run_ensemble(cfg, traj_start=24, traj_stop=40)
-        b = run_ensemble(cfg, traj_start=40, traj_stop=64)
-        outer = merge_results([a, b])
-        merged = merge_results([gap, outer] if gap_first else [outer, gap])
-        assert merged.traj_ranges == [(0, 64)]
-        np.testing.assert_array_equal(merged.per_trajectory_variances,
-                                      full.per_trajectory_variances)
-        np.testing.assert_array_equal(merged.variance_stderr,
-                                      merge_results([a, gap, b]).variance_stderr)
-
-    def test_overlapping_ranges_rejected(self):
-        cfg = config(realizations=64)
-        a = run_ensemble(cfg, traj_start=0, traj_stop=40)
-        b = run_ensemble(cfg, traj_start=32, traj_stop=64)
-        with pytest.raises(ConfigError):
-            merge_results([a, b])
-
-    def test_mismatched_configs_rejected(self):
-        a = run_ensemble(config(seed=1, realizations=8))
-        b = run_ensemble(config(seed=2, realizations=8))
-        with pytest.raises(ConfigError):
-            merge_results([a, b])
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ConfigError):
-            merge_results([])

@@ -8,7 +8,6 @@ LIBRARY_API = {
     "run_ensemble",
     "run_trajectory",
     "exact_run",
-    "merge_results",
     "variance_series",
     "fit_scaling_exponent",
     "fit_localization",
@@ -24,7 +23,7 @@ LIBRARY_API = {
 
 
 def test_all_is_the_library_api():
-    assert len(qwalk2d.__all__) == len(LIBRARY_API) == 17
+    assert len(qwalk2d.__all__) == len(LIBRARY_API) == 16
     assert set(qwalk2d.__all__) == LIBRARY_API
 
 
