@@ -7,16 +7,15 @@ scheduling.  Reduction walks fixed-size chunks of trajectory indices in
 ascending order; the chunk layout depends only on R, never on the worker
 count, so a run is bitwise reproducible for any number of workers.
 
-A chunk runs its trajectories in groups, each through one
-evolve.add_trajectories call.  The group width is derived from the step
-count, never set: as many trajectories as fit GROUP_BYTES of amplitudes.
-Each step's windows are added into the chunk's per-step sublattice sums,
-one (n + 1, n + 1) grid per step n, in trajectory order as they come (one
-reduce per group and step, see add_trajectories), and
-each trajectory's variance row comes from the x and y marginals of its
-windows, so the width changes no bit.  A chunk's sums hold
-sum_n (n + 1)^2 values (2.8 MB at N = 100), about a twelfth of one dense
-(N+1, 2N+1, 2N+1) stack.  The run adds them, in chunk order, into one
+This module alone sets the order of every addition.  A chunk walks its
+trajectories in groups, each through one evolve.walk_group generator.
+The group width is derived from the step count, never set: as many
+trajectories as fit GROUP_BYTES of amplitudes.  Each step's windows are
+added into the chunk's per-step sublattice sums, one (n + 1, n + 1) grid
+per step n, in trajectory order (_add_windows), and each trajectory's
+variance row comes from its windows' marginals, so the width changes no
+bit.  A chunk's sums hold sum_n (n + 1)^2 values (2.8 MB at N = 100),
+about a twelfth of one dense (N+1, 2N+1, 2N+1) stack.  The run adds them, in chunk order, into one
 zeroed buffer of the same layout, and divides that in place: the mean is
 a WalkResult's windows, and no stage of a run builds a dense stack.  Run
 in-process, the first chunk adds its trajectories straight into that
@@ -29,15 +28,14 @@ chunk's groups: a process pool, whose module loads only when a run starts
 one, and plain threads, joined before their chunk returns.  Each group
 counts the steps it has added, and adds its step-n windows only once the
 group before it has added step n, so the lane count changes no bit
-either, and a waiting group holds only its own state.  A group that stops, having finished or failed, counts as having
-added every step, so it releases the groups after it.
+either, and a waiting group holds only its own state.  A group that
+stops, having finished or failed, counts as having added every step, so
+it releases the groups after it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
-import functools
 import numbers
 import threading
 from dataclasses import dataclass
@@ -48,7 +46,7 @@ import numpy as np
 from .analysis import zeroed_array
 from .disorder import DisorderConfig
 from .errors import ConfigError, check_unit_total
-from .evolve import WalkResult, add_trajectories, window_variances, zero_windows
+from .evolve import WalkResult, walk_group, window_variances, zero_windows
 
 # trajectories per reduction chunk; fixed so that the summation order is
 # identical no matter how many workers run
@@ -76,21 +74,33 @@ def _group_width(n_steps: int) -> int:
     return max(1, min(CHUNK_SIZE, GROUP_BYTES // per_trajectory))
 
 
+def _add_windows(total: np.ndarray, windows: np.ndarray) -> None:
+    """Add a group's step-n windows (B, n + 1, n + 1) into total in order,
+    overwriting them: one reduce, the sum first (s + w0 is w0 + s); numpy
+    would add (1, 1) windows pairwise, so step 0 adds one at a time."""
+    if total.size > 1:
+        windows[0] += total
+        np.add.reduce(windows, axis=0, out=total)
+    else:
+        for window in windows:
+            total += window
+
+
 def _run_chunk(args, window_sums: list[np.ndarray] | None = None
                ) -> tuple[int, list[np.ndarray], np.ndarray]:
     """Per-step sums of the probability windows and per-trajectory variance
-    rows for [start, stop), run in groups of _group_width by
-    add_trajectories, which adds into the sums in trajectory order, so no
-    bit depends on the width.  The sums are window_sums, which must be
+    rows for [start, stop), walked in groups of _group_width by walk_group,
+    whose windows _add_windows adds into the sums in trajectory order, so
+    no bit depends on the width.  The sums are window_sums, which must be
     zeroed, or new zeroed windows when it is None.
 
     The groups run on min(lanes, groups) lanes, this thread and a helper
     thread for each other lane, all joined before the chunk returns; they
     take the groups in order.  added[g] counts the steps group g has added,
-    and group g's turn at step n waits until added[g - 1] > n, so every
+    and group g adds its step-n windows once added[g - 1] > n, so every
     site gets its additions in trajectory order and no bit depends on the
     lane count either.  With one lane the group before has always
-    finished, so no turn waits.  This thread walks too because the memory
+    finished, so no group waits.  This thread walks too because the memory
     its groups free stays with its allocator for the run's later stages:
     walked by helper threads alone, a run's peak RSS rose by about 2 MB at
     N = 100.  A group that stops, by finishing or by any exception,
@@ -115,13 +125,6 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
             added[g] = count
             changed.notify_all()
 
-    @contextlib.contextmanager
-    def turn(g: int, n: int):
-        with changed:
-            changed.wait_for(lambda: g == 0 or added[g - 1] > n)
-        yield
-        set_added(g, n + 1)
-
     def lane():
         while not failed:
             with changed:
@@ -130,8 +133,12 @@ def _run_chunk(args, window_sums: list[np.ndarray] | None = None
                 return
             lo, hi = groups[g]
             try:
-                add_trajectories(config, lo, hi, window_sums, var_rows[lo - start:hi - start],
-                                 functools.partial(turn, g))
+                steps = walk_group(config, lo, hi, var_rows[lo - start:hi - start])
+                for n, windows in enumerate(steps):
+                    with changed:
+                        changed.wait_for(lambda: g == 0 or added[g - 1] > n)
+                    _add_windows(window_sums[n], windows)
+                    set_added(g, n + 1)
             except BaseException as exc:  # raised again in the chunk's own thread
                 failed[g] = exc
             finally:

@@ -6,16 +6,16 @@ the full density matrix under the phase-averaged channel instead; it has no
 sampling error but scales as the square of the lattice size, so it is only
 meant for short walks.
 
-Both engines keep their states on the parity sublattice (see the state
-module): shape (n + 1, n + 1, 2) after n steps, and an oracle rho of
-dimension 2 (n + 1)^2.  Step n's phases are those of its window's
-sublattice sites, every other site of the window |i|, |j| <= n at the
-centre of the whole-lattice draw.  add_trajectories runs every trajectory:
-it steps a group of B as one (B, n + 1, n + 1, 2) stack, adds their
-windows into a per-step list of (n + 1, n + 1) window sums, and computes
-their variance rows from their marginals.  Apart from one draw per
-trajectory, each step makes a fixed number of numpy calls for the whole
-group: the phases and their exp, the kick, the unit check, the window sum.
+Both engines step plain arrays on the parity sublattice (see the state
+module) with one kernel, _walk: a trajectory is (n + 1, n + 1, 2) after n
+steps, and the oracle's rho an (n + 1, n + 1, 2, n + 1, n + 1, 2) stack
+of such states, stepped on both sides (_channel).  Step n's phases are
+those of its window's sublattice sites, every other site of the window
+|i|, |j| <= n at the centre of the whole-lattice draw.  walk_group steps
+a group of B trajectories as one (B, n + 1, n + 1, 2) stack and yields
+each step's checked windows; the ensemble module sums them.  Apart from
+one draw per trajectory, each step makes a fixed number of numpy calls
+for the whole group: the phases and their exp, the kick, the unit check.
 
 A WalkResult holds its site distributions the same way, as one
 (n + 1, n + 1) window per step, window[u, v] = p(2u - n, 2v - n), and its
@@ -23,16 +23,16 @@ variance series comes from the windows' zero-padded marginals
 (window_variances), bit for bit the series of the dense grids.  Nothing
 on the run's path builds a dense (N+1, 2N+1, 2N+1) grid stack: a result
 scatters one step onto a (2N + 1)^2 grid (distribution), and builds the
-whole stack only when asked for it (probabilities).  run_trajectory is
-add_trajectories' B = 1 call into zeroed windows, and exact_run collects
-its density matrix's windows; zero_windows also reads a CSV's rows back
-into them.  exact_step_density runs the oracle's kernels on the full grid.
+whole stack only when asked for it (probabilities).  zero_windows
+allocates an ensemble's sums, and also reads a CSV's rows into them.
+WalkState, DensityState and exact_step_density (_channel with the
+full-grid kernels) are the tests' and the replay's reference API.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +54,7 @@ from .state import (
     apply_shift_x,
     apply_shift_y,
     initial_state,
+    site_probabilities,
 )
 
 # on the parity sublattice rho has dimension 2 (n+1)^2 after n steps, so the
@@ -62,25 +63,21 @@ from .state import (
 MAX_ORACLE_STEPS = 20
 
 
-def _unitary(state: WalkState, sublattice: bool) -> WalkState:
+def _walk(a: np.ndarray) -> np.ndarray:
     """The deterministic part of a step, U = S_Y H S_X H, on the trailing
-    (L, L, 2) axes of a sublattice or full-grid state; each intermediate is
-    dropped as soon as it is consumed.  On the sublattice each coin and
-    shift pair is one fused kernel, state._coin_grow."""
-    if sublattice:
-        return _coin_grow(_coin_grow(state, -3), -2)
-    return apply_shift_y(apply_coin(apply_shift_x(apply_coin(state))))
+    (n + 1, n + 1, 2) axes of sublattice amplitudes, out on step n + 1's
+    sublattice: two fused coin and shift kernels, state._coin_grow."""
+    return _coin_grow(_coin_grow(a, -3), -2)
 
 
-def _step(state: WalkState, half_turns=None) -> WalkState:
-    """Coin, x shift, coin, y shift on a sublattice state, which comes out
-    on the sublattice of the next step, then the dephasing kick in place by
+def _step(amps: np.ndarray, half_turns=None) -> np.ndarray:
+    """_walk on sublattice amplitudes, then the dephasing kick in place by
     half_turns(), e^{-i phi/2} (see _half_turns); None skips the kick.
-    The factors are made after the unitary, so that it runs without them."""
-    amps = _unitary(state, sublattice=True).amps
+    The factors are made after the walk, so that it runs without them."""
+    amps = _walk(amps)
     if half_turns is not None:
         _kick(amps, half_turns(), amps)
-    return WalkState(amps, state.half_width + 1, state.step_count + 1)
+    return amps
 
 
 def sublattice_sites(n: int, size: int) -> slice:
@@ -183,7 +180,7 @@ def _half_turns(samplers: list[PhaseSampler], start: int, n: int) -> np.ndarray:
 def zero_windows(n_steps: int, rows=None) -> list[np.ndarray]:
     """Zeroed sublattice windows, one (n + 1, n + 1) grid per step n =
     0..n_steps, each a view of one buffer of sum_n (n + 1)^2 values: the
-    sum add_trajectories adds into; a ConfigError names the buffer's size
+    sums of an ensemble chunk; a ConfigError names the buffer's size
     if it cannot be allocated.  rows, columns (step, i, j, p) naming each
     site once on its step's sublattice, set window[(i + step) / 2, (j + step) / 2] = p."""
     start = lambda n: n * (n + 1) * (2 * n + 1) // 6  # sum_{m < n} (m + 1)^2
@@ -207,30 +204,20 @@ def scatter_window(window: np.ndarray, half_width: int) -> Distribution2D:
     return Distribution2D(grid, half_width, n)
 
 
-def add_trajectories(config: DisorderConfig, start: int, stop: int,
-                     window_sums: list[np.ndarray], var_rows: np.ndarray,
-                     turn=contextlib.nullcontext) -> None:
-    """Run trajectories start..stop-1: add their step-n probability windows
-    into window_sums[n], of shape (n + 1, n + 1) (see zero_windows), and
-    write trajectory start + b's variance series into var_rows[b].
+def walk_group(config: DisorderConfig, start: int, stop: int, var_rows: np.ndarray):
+    """Walk trajectories start..stop-1, B of them, and yield their step-n
+    probability windows, one (B, n + 1, n + 1) array per step n, which the
+    caller may overwrite.  Once exhausted, write trajectory start + b's
+    variance series into var_rows[b].
 
-    Each step's additions run inside `with turn(n):`.  Groups that share
-    window_sums from several threads pass a turn that waits until the
-    groups before this one have added their step-n windows, and passes
-    the turn on afterwards; alone, a group owns every turn, and the
-    default, contextlib.nullcontext, waits for nothing.
-
-    The B = stop - start trajectories are stepped as one (B, n + 1, n + 1, 2)
-    sublattice stack, each with its own PhaseSampler, and kicked in place;
-    without disorder, or at zeta = 0, there is no kick (it would multiply
-    by 1, and could change only the sign of a zero amplitude).  Each
-    step's windows are added into its sum in trajectory order.  The
-    variance rows come from each trajectory's x and y marginals
-    (sublattice_marginals), as window_variances computes them.  So no bit
-    depends on B, and B = 1 into zeroed windows gives the trajectory's own
-    windows.  A failing unit total raises InvariantViolationError naming
-    the first trajectory, in index order, that fails at the first failing
-    step.
+    The trajectories are stepped as one sublattice stack, each with its
+    own PhaseSampler, and kicked in place; without disorder, or at
+    zeta = 0, there is no kick (it would multiply by 1, and could change
+    only the sign of a zero amplitude).  A step's windows are yielded after
+    its unit check: a failing total raises InvariantViolationError naming
+    the first trajectory, in index order, that fails.  The variance rows
+    come from each trajectory's x and y marginals (sublattice_marginals),
+    as window_variances computes them, so no bit depends on B.
     """
     n_steps = config.steps
     size = 2 * n_steps + 1
@@ -238,15 +225,15 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
     kicked = config.mode is not DisorderMode.NONE and config.zeta != 0.0
     px = np.zeros((len(samplers), n_steps + 1, size))
     py = np.zeros_like(px)
-    state = WalkState(np.repeat(initial_state(0).amps[np.newaxis], len(samplers), axis=0), 0)
+    amps = np.repeat(initial_state(0).amps[np.newaxis], len(samplers), axis=0)
 
     def half_turns():  # step n's
         return _half_turns(samplers, start, n)
 
     for n in range(n_steps + 1):
         if n > 0:
-            state = _step(state, half_turns if kicked else None)
-        windows = state.probabilities()
+            amps = _step(amps, half_turns if kicked else None)
+        windows = site_probabilities(amps)
         totals = windows.sum(axis=(1, 2))
         if not (abs(totals - 1.0) <= UNIT_TOL).all():
             # check_unit_total's test on the whole group; the loop names the
@@ -255,25 +242,20 @@ def add_trajectories(config: DisorderConfig, start: int, stop: int,
                 check_unit_total(total, f"trajectory {k}: norm at step {n}")
         sites = sublattice_sites(n, size)
         px[:, n, sites], py[:, n, sites] = sublattice_marginals(windows, size)
-        with turn(n):
-            if n:
-                # one reduce over the trajectory axis adds the windows in
-                # order, and the sum goes first: s + w0 is w0 + s
-                windows[0] += window_sums[n]
-                np.add.reduce(windows, axis=0, out=window_sums[n])
-            else:  # numpy would add a stack of (1, 1) windows pairwise
-                for window in windows:
-                    window_sums[n] += window
+        yield windows
     for b in range(len(samplers)):
         var_rows[b] = marginal_variances(px[b], py[b], n_steps)
 
 
 def run_trajectory(config: DisorderConfig, trajectory_index: int) -> WalkResult:
-    """Run one realization for config.steps steps: add_trajectories for
-    the one trajectory into zeroed windows."""
-    windows = zero_windows(config.steps)
-    variances = np.empty((1, config.steps + 1))
-    add_trajectories(config, trajectory_index, trajectory_index + 1, windows, variances)
+    """One realization, walk_group's windows for the one trajectory; an
+    index that is not a non-negative integer (bool included) is a ConfigError."""
+    if isinstance(trajectory_index, bool) or not isinstance(trajectory_index, numbers.Integral):
+        raise ConfigError(f"trajectory_index must be an integer, got {trajectory_index!r}")
+    if trajectory_index < 0:
+        raise ConfigError(f"trajectory_index must be >= 0, got {trajectory_index}")
+    k, variances = int(trajectory_index), np.empty((1, config.steps + 1))
+    windows = [windows[0] for windows in walk_group(config, k, k + 1, variances)]
     return WalkResult(config, windows, variances[0], None)
 
 
@@ -342,22 +324,15 @@ def _coin_block(config: DisorderConfig) -> np.ndarray | None:
     return np.array([[1.0, same_coin], [same_coin, 1.0]])
 
 
-def _density_step(dstate: DensityState, config: DisorderConfig,
-                  sublattice: bool) -> DensityState:
-    """One step of the phase-averaged channel on a sublattice or full-grid
-    density matrix; a sublattice one comes out on the next step's."""
+def _channel(t: np.ndarray, config: DisorderConfig, walk) -> np.ndarray:
+    """One step of the averaged channel (see exact_step_density) on rho as
+    an (L, L, 2, L, L, 2) array, ket axes first; walk applies U to the
+    trailing (L, L, 2) axes of a stack of states.  Returns a new array."""
     block = _coin_block(config)
-    size, h = dstate.grid_size, dstate.half_width
-    # U rho U^dagger with rho as a (L, L, 2, L, L, 2) tensor: U on the ket
-    # axes (moved last), then on the bra axes (U is real, so its conjugate
-    # is U); the calls are nested so the ket-side result is freed while the
-    # bra side consumes it
-    t = dstate.rho.reshape(size, size, 2, size, size, 2)
-    t = _unitary(WalkState(
-        _unitary(WalkState(t.transpose(3, 4, 5, 0, 1, 2), h),
-                 sublattice).amps.transpose(3, 4, 5, 0, 1, 2),
-        h,
-    ), sublattice).amps
+    # U on the ket axes (moved last), then on the bra axes (U is real, so
+    # its conjugate is U); the calls are nested so the ket-side result is
+    # freed while the bra side consumes it
+    t = walk(walk(t.transpose(3, 4, 5, 0, 1, 2)).transpose(3, 4, 5, 0, 1, 2))
     if block is not None and config.mode is DisorderMode.DYNAMICAL_UNIFORM:
         t *= block.reshape(1, 1, 2, 1, 1, 2)
     elif block is not None:
@@ -366,8 +341,7 @@ def _density_step(dstate: DensityState, config: DisorderConfig,
         own = t[ii, jj, :, ii, jj, :]
         t *= cross_site_coherence_factor(config.zeta)
         t[ii, jj, :, ii, jj, :] = own * block
-    dim = 2 * t.shape[0] ** 2
-    return DensityState(t.reshape(dim, dim), h + sublattice, dstate.step_count + 1)
+    return t
 
 
 def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityState:
@@ -381,7 +355,10 @@ def exact_step_density(dstate: DensityState, config: DisorderConfig) -> DensityS
     block sees a single phase and takes the coin block instead.  Raises
     LatticeOverflowError if the step would leave the grid.
     """
-    return _density_step(dstate, config, sublattice=False)
+    size, h = dstate.grid_size, dstate.half_width
+    walk = lambda a: apply_shift_y(apply_coin(apply_shift_x(apply_coin(WalkState(a, h))))).amps
+    t = _channel(dstate.rho.reshape(size, size, 2, size, size, 2), config, walk)
+    return DensityState(t.reshape(dstate.rho.shape), h, dstate.step_count + 1)
 
 
 def exact_run(config: DisorderConfig) -> WalkResult:
@@ -400,10 +377,12 @@ def exact_run(config: DisorderConfig) -> WalkResult:
         )
     _coin_block(config)  # rejects unsupported modes before doing any work
     windows = []
-    dstate = initial_density(0)
+    amps = initial_state(0).amps
+    t = np.multiply.outer(amps, amps.conj())
     for n in range(n_steps + 1):
         if n > 0:
-            dstate = _density_step(dstate, config, sublattice=True)
-        windows.append(dstate.site_probabilities())
+            t = _channel(t, config, _walk)
+        diagonal = t.reshape(2 * (n + 1) ** 2, -1).diagonal().real
+        windows.append(diagonal.reshape(n + 1, n + 1, 2).sum(axis=2))
         check_unit_total(windows[n].sum(), f"oracle trace at step {n}")
     return WalkResult(config, windows, window_variances(windows, n_steps), None)

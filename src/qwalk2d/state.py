@@ -15,11 +15,12 @@ is y): the H amplitude keeps its index along the axis and the V amplitude
 moves to the next index, in an axis one longer.  On the sublattice that is
 the whole shift, since index u holds i = 2u - n before it and 2u - (n + 1)
 after.  The full-grid apply_shift_x/y is _shift, the kernel followed by a
-crop back to 2h + 1 rows.  The engines apply each coin and sublattice shift
-together, as one fused kernel (_coin_grow) with the bits of the two in turn.
-The coin and the dephasing kick act site by site, so they serve both layouts.
-At half width 0 the two layouts coincide.  All public operations are
-pure: they return a new state and never mutate their input.
+crop back to 2h + 1 rows.  The engines step plain sublattice arrays, each
+coin and shift pair one fused kernel (_coin_grow) with the bits of the two
+in turn; WalkState and the full-grid functions are the reference API of
+the tests and the benchmark replay.  The coin and the dephasing kick act
+site by site, so they serve both layouts, which coincide at half width 0.
+All public operations are pure: they never mutate their input.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class WalkState:
     half_width + 1 on the parity sublattice of step half_width (see the
     module docstring for where each site sits).  The coin and shift
     functions act on the trailing (L, L, 2) axes only, so an amps array
-    with leading batch axes is a stack of walk states; the exact oracle
-    uses this to apply the walk unitary to a density matrix.
+    with leading batch axes is a stack of walk states; exact_step_density
+    uses this to apply the walk unitary to both sides of a density matrix.
     """
 
     amps: np.ndarray
@@ -60,13 +61,17 @@ class WalkState:
         return self.amps.shape[-2]
 
     def probabilities(self) -> np.ndarray:
-        """(L, L) grid of site probabilities p(i, j) = |aH|^2 + |aV|^2."""
-        a = self.amps
-        return np.abs(a[..., 0]) ** 2 + np.abs(a[..., 1]) ** 2
+        """(L, L) grid of site probabilities (site_probabilities)."""
+        return site_probabilities(self.amps)
 
     def norm(self) -> float:
         """Total probability, the sum of the site probabilities."""
         return float(self.probabilities().sum())
+
+
+def site_probabilities(a: np.ndarray) -> np.ndarray:
+    """p(i, j) = |aH|^2 + |aV|^2 at every site of amplitudes (..., L, L, 2)."""
+    return np.abs(a[..., COIN_H]) ** 2 + np.abs(a[..., COIN_V]) ** 2
 
 
 def initial_state(half_width: int) -> WalkState:
@@ -113,13 +118,12 @@ def _grow(state: WalkState, axis: int) -> WalkState:
     return WalkState(out, state.half_width, state.step_count)
 
 
-def _coin_grow(state: WalkState, axis: int) -> WalkState:
-    """apply_coin, then _grow along axis, bit for bit, written into one
-    array: each coin sum goes straight to its shifted rows, only the new
-    edge row of each coin component is zeroed, and one product scales the
-    whole array, zeroed edges included, which stay +0.0.  Half the numpy
-    calls of the two steps, and no intermediate state."""
-    a = state.amps
+def _coin_grow(a: np.ndarray, axis: int) -> np.ndarray:
+    """apply_coin, then _grow along axis, bit for bit, on an amplitude array,
+    written into one new array: each coin sum goes straight to its shifted
+    rows, only the new edge row of each coin component is zeroed, and one
+    product scales the whole array, zeroed edges included, which stay +0.0.
+    Half the numpy calls of the two steps, and no intermediate array."""
     shape = list(a.shape)
     shape[axis] += 1
     out = np.empty(shape, dtype=a.dtype)
@@ -128,7 +132,7 @@ def _coin_grow(state: WalkState, axis: int) -> WalkState:
     out[_rows(axis, -1, COIN_H)] = 0
     out[_rows(axis, 0, COIN_V)] = 0
     out *= _INV_SQRT2
-    return WalkState(out, state.half_width, state.step_count)
+    return out
 
 
 def _shift(state: WalkState, axis: int) -> WalkState:

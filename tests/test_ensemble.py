@@ -148,17 +148,17 @@ class TestRunEnsemble:
         class Abort(BaseException):
             pass
 
-        caller, add = threading.current_thread(), ensemble.add_trajectories
+        caller, walk = threading.current_thread(), ensemble.walk_group
         helper_raised = threading.Event()
 
-        def add_trajectories(*args):
+        def walk_group(*args):
             if threading.current_thread() is not caller:
                 helper_raised.set()
                 raise Abort("from a helper lane")
             assert helper_raised.wait(60)
-            add(*args)
+            return walk(*args)
 
-        monkeypatch.setattr(ensemble, "add_trajectories", add_trajectories)
+        monkeypatch.setattr(ensemble, "walk_group", walk_group)
         with pytest.raises(Abort, match="from a helper lane"):
             run_ensemble(config(steps=60, realizations=32), threads=2)
 

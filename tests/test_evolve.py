@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qwalk2d import (
+    ConfigError,
     DisorderConfig,
     DisorderMode,
     InvariantViolationError,
@@ -19,7 +20,6 @@ from qwalk2d import (
 from qwalk2d.disorder import PhaseSampler
 from qwalk2d.errors import LatticeOverflowError
 from qwalk2d.evolve import (
-    DensityState,
     _step,
     cross_site_coherence_factor,
     exact_step_density,
@@ -71,9 +71,8 @@ class TestGoldenFirstStep:
         assert occupied[0].size == 4
         np.testing.assert_allclose(probs[occupied], 0.25, atol=1e-12)
 
-    def test_step_count_increments(self):
-        state = _step(initial_state(0), None)
-        assert state.step_count == 1
+    def test_a_step_grows_the_sublattice_by_one_site_per_axis(self):
+        assert _step(initial_state(0).amps, None).shape == (2, 2, 2)
 
 
 class TestStepAgainstReference:
@@ -129,6 +128,37 @@ class TestRunTrajectory:
         v_engine = variance_series(traj.probabilities, traj.half_width)[20]
         v_ref = ref_variance(ref_probs(ref_run(20)[-1]))
         assert v_engine == pytest.approx(v_ref, abs=1e-10)
+
+    # as run_ensemble checks threads: a bool, a non-integer or an index
+    # outside every ensemble (0..R-1) is refused before any walk
+    @pytest.mark.parametrize("index,message", [
+        (True, "must be an integer, got True"),
+        (False, "must be an integer, got False"),
+        (1.5, "must be an integer, got 1.5"),
+        (1.0, "must be an integer, got 1.0"),
+        ("1", "must be an integer, got '1'"),
+        (None, "must be an integer, got None"),
+        (-1, "must be >= 0, got -1"),
+        (np.int64(-3), "must be >= 0, got -3"),
+    ], ids=["true", "false", "float", "integral-float", "str", "none", "negative", "np-negative"])
+    def test_bad_trajectory_index_is_config_error(self, index, message, monkeypatch):
+        import qwalk2d.evolve as evolve_mod
+
+        def refuse(*args):
+            raise AssertionError("walked before the index check")
+
+        monkeypatch.setattr(evolve_mod, "walk_group", refuse)
+        with pytest.raises(ConfigError, match=f"^trajectory_index {message}$"):
+            run_trajectory(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 3), index)
+
+    # uint8(255) + 1 would wrap to 0
+    @pytest.mark.parametrize("index", [np.int64(5), np.uint8(255)], ids=["int64", "uint8-max"])
+    def test_numpy_integer_index_is_the_int_index(self, index):
+        cfg = config(DisorderMode.DYNAMICAL_SPATIAL, math.pi, 4, realizations=256)
+        want = run_trajectory(cfg, int(index))
+        got = run_trajectory(cfg, index)
+        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+        np.testing.assert_array_equal(got.variances, want.variances)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -344,15 +374,17 @@ class TestExactRun:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_site_probabilities_are_an_invariant_violation(self, bad,
                                                                        monkeypatch):
-        real = DensityState.site_probabilities
+        import qwalk2d.evolve as evolve_mod
 
-        def corrupt(self):
-            probs = real(self)
-            if self.step_count == 2:
-                probs[self.half_width, self.half_width] = bad
-            return probs
+        real = evolve_mod._channel
 
-        monkeypatch.setattr(DensityState, "site_probabilities", corrupt)
+        def corrupt(t, config, walk):
+            t = real(t, config, walk)
+            if t.shape[0] == 3:  # step 2: write its centre's H population
+                t[1, 1, 0, 1, 1, 0] = bad
+            return t
+
+        monkeypatch.setattr(evolve_mod, "_channel", corrupt)
         with pytest.raises(InvariantViolationError, match="oracle trace at step 2"):
             exact_run(config(DisorderMode.DYNAMICAL_SPATIAL, math.pi / 2, 3))
 

@@ -138,7 +138,7 @@ class TestFusedCoinShift:
             amps = np.moveaxis(np.ascontiguousarray(np.moveaxis(amps, lead, last)), last, lead)
         state = WalkState(amps, size - 1)
         for axis in (-3, -2):
-            fused = _coin_grow(state, axis).amps
+            fused = _coin_grow(state.amps, axis)
             want = _grow(apply_coin(state), axis).amps
             assert fused.shape == want.shape
             np.testing.assert_array_equal(bits(fused), bits(want))
